@@ -15,6 +15,7 @@ keys, no whitespace) so identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -57,11 +58,16 @@ def _canonical_json(obj) -> bytes:
 
 def save_checkpoint(path: str | Path, spec: NetworkSpec, params: dict[str, Tensor],
                     meta: dict | None = None) -> None:
-    """Write spec + meta + every parameter tensor (running stats included)."""
+    """Write spec + meta + every parameter tensor (running stats included).
+    Non-finite values are refused; the bytes go to a temporary file that is
+    then renamed onto ``path``, so ``path`` never holds a partial file."""
     names = [name for name, _, _ in _param_entries(spec)]
     missing = [n for n in names if n not in params]
     if missing:
         raise CheckpointError(f"params missing tensors: {missing}")
+    non_finite = [n for n in names if not np.isfinite(params[n].data).all()]
+    if non_finite:
+        raise CheckpointError(f"refusing to save non-finite values in {non_finite}")
 
     out = bytearray()
     out += MAGIC
@@ -81,7 +87,12 @@ def save_checkpoint(path: str | Path, spec: NetworkSpec, params: dict[str, Tenso
             out += struct.pack("<I", d)
         out += np.ascontiguousarray(t.data, dtype="<f4").tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(out))
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(bytes(out))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class _Reader:

@@ -84,16 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-stage patch-wise/image-wise image classification pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("geometry", "patch-grid report for the configured image and window"),
-        ("rf", "receptive-field tables for both conv stacks"),
-        ("synth", "write a synthetic labeled dataset"),
-        ("stats", "compute and store normalization statistics"),
-        ("train-patch", "train the patch-wise network"),
-        ("train-image", "train the image-wise network on frozen features"),
-        ("infer", "classify one image with both checkpoints"),
-        ("eval", "evaluate both checkpoints over a manifest split"),
-    ):
+    for name, (desc, _) in COMMANDS.items():
         sub.add_parser(name, parents=[common], help=desc)
     return parser
 
@@ -117,11 +108,16 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set[str]]:
         if val is not None:
             cfg[key] = val
             explicit.add(key)
-    for key in _INT_KEYS:
-        if cfg[key] is not None:
-            cfg[key] = int(cfg[key])
-    for key in _FLOAT_KEYS:
-        cfg[key] = float(cfg[key])
+    for key in sorted(_INT_KEYS | _FLOAT_KEYS):
+        val = cfg[key]
+        if val is None and DEFAULTS[key] is None:
+            continue
+        kinds = (int,) if key in _INT_KEYS else (int, float)
+        if isinstance(val, bool) or not isinstance(val, kinds):
+            what = "an integer" if key in _INT_KEYS else "a number"
+            raise ValueError(f"{key} must be {what}, got {json.dumps(val)}")
+        if key in _FLOAT_KEYS:
+            cfg[key] = float(val)
     if cfg["threads"] < 1:
         raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
     return cfg, explicit
@@ -154,7 +150,7 @@ def _payload(command: str, cfg: dict, body: dict) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_geometry(cfg: dict, explicit: set[str]) -> dict:
+def cmd_geometry(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .geometry import PatchGrid, patch_coords
 
     grid = PatchGrid(image_w=cfg["image_w"], image_h=cfg["image_h"],
@@ -171,20 +167,20 @@ def cmd_geometry(cfg: dict, explicit: set[str]) -> dict:
 
 
 def _rf_table(geoms, input_size: int) -> dict:
-    from .geometry import RFState, output_size
+    from .geometry import output_size, receptive_field
 
     sizes = output_size(geoms, input_size) if geoms else []
-    rows, state = [], RFState()
+    rows = []
     for i, g in enumerate(geoms):
-        state = RFState(r=state.r + (g.kernel - 1) * state.jump,
-                        jump=state.jump * g.stride)
+        state = receptive_field(geoms[:i + 1])
         rows.append({"layer": i + 1, "kernel": g.kernel, "stride": g.stride,
                      "padding": g.padding, "r": state.r, "jump": state.jump,
                      "out_size": sizes[i]})
+    state = receptive_field(geoms)
     return {"input": input_size, "layers": rows, "r": state.r, "jump": state.jump}
 
 
-def cmd_rf(cfg: dict, explicit: set[str]) -> dict:
+def cmd_rf(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .geometry import max_stride_for_coverage, receptive_field
     from .model import canonical_imagewise_spec, canonical_patchwise_spec
 
@@ -204,12 +200,12 @@ def cmd_rf(cfg: dict, explicit: set[str]) -> dict:
 
 def cmd_synth(cfg: dict, explicit: set[str], parser, command) -> dict:
     _require(cfg, ["out"], parser, command)
-    from .data import generate_dataset_dir
+    from .data import N_CLASSES, generate_dataset_dir
 
     manifest = generate_dataset_dir(cfg["out"], cfg["n_per_class"],
                                     cfg["image_w"], cfg["image_h"],
                                     cfg["seed"], cfg["val_fraction"])
-    per_class = {c: 0 for c in range(4)}
+    per_class = {c: 0 for c in range(N_CLASSES)}
     splits = {"train": 0, "val": 0}
     for r in manifest.records:
         per_class[r.label] += 1
@@ -269,6 +265,7 @@ def cmd_train_patch(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .data import load_manifest
     from .trainer import TrainConfig, train_patchwise
 
+    _check_window(cfg["window"])
     tc = TrainConfig(
         stage="patchwise", seed=cfg["seed"], lr=cfg["lr"],
         momentum=cfg["momentum"], batch_size=cfg["batch_size"],
@@ -288,10 +285,27 @@ def _load_pw(cfg: dict):
     return load_checkpoint(cfg["patch_checkpoint"], expect_kind="patchwise")
 
 
+def _check_window(window: int) -> None:
+    """Refuse a window that collapses either conv stack; the image-wise stack
+    sees the patch-wise feature maps, which are window // 8 wide."""
+    from .geometry import GeometryError, output_size
+    from .model import canonical_imagewise_spec, canonical_patchwise_spec
+
+    for name, spec, size in (("patch-wise", canonical_patchwise_spec(), window),
+                             ("image-wise", canonical_imagewise_spec(), window // 8)):
+        try:
+            output_size(spec.conv_geoms(), size)
+        except GeometryError as e:
+            raise GeometryError(f"window {window} is too small for the {name} "
+                                f"stack: {e}") from None
+
+
 def _effective_window(cfg: dict, explicit: set[str], meta: dict) -> int:
-    if "window" in explicit:
-        return cfg["window"]
-    return int(meta.get("window", cfg["window"]))
+    window = cfg["window"]
+    if "window" not in explicit:
+        window = int(meta.get("window", window))
+    _check_window(window)
+    return window
 
 
 def cmd_train_image(cfg: dict, explicit: set[str], parser, command) -> dict:
@@ -341,8 +355,8 @@ def cmd_infer(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .model import CLASS_NAMES, infer_image
 
     pw_spec, pw_params, pw_meta, iw_spec, iw_params, _, stats = _load_stage_pair(cfg)
-    pixels = normalize_pixels(read_ppm(cfg["image"]), stats)
     window = _effective_window(cfg, explicit, pw_meta)
+    pixels = normalize_pixels(read_ppm(cfg["image"]), stats)
     cls, probs = infer_image(pw_spec, pw_params, iw_spec, iw_params, pixels, window)
     return _payload(command, cfg, {
         "image": str(cfg["image"]),
@@ -358,13 +372,13 @@ def cmd_eval(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .trainer import evaluate_images, metrics_from_confusion
 
     pw_spec, pw_params, pw_meta, iw_spec, iw_params, _, stats = _load_stage_pair(cfg)
+    window = _effective_window(cfg, explicit, pw_meta)
     manifest = load_manifest(cfg["manifest"])
     images = load_images(manifest, cfg["split"])
     if not images:
         raise ValueError(f"split {cfg['split']!r} is empty")
     for img in images:
         img.pixels = normalize_pixels(img.pixels, stats)
-    window = _effective_window(cfg, explicit, pw_meta)
     confusion = evaluate_images(pw_spec, pw_params, iw_spec, iw_params,
                                 images, window)
     accuracy, precision, recall = metrics_from_confusion(confusion)
@@ -375,6 +389,18 @@ def cmd_eval(cfg: dict, explicit: set[str], parser, command) -> dict:
         "accuracy": accuracy,
         "per_class": {"precision": precision, "recall": recall},
     })
+
+
+COMMANDS = {
+    "geometry": ("patch-grid report for the configured image and window", cmd_geometry),
+    "rf": ("receptive-field tables for both conv stacks", cmd_rf),
+    "synth": ("write a synthetic labeled dataset", cmd_synth),
+    "stats": ("compute and store normalization statistics", cmd_stats),
+    "train-patch": ("train the patch-wise network", cmd_train_patch),
+    "train-image": ("train the image-wise network on frozen features", cmd_train_image),
+    "infer": ("classify one image with both checkpoints", cmd_infer),
+    "eval": ("evaluate both checkpoints over a manifest split", cmd_eval),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +432,8 @@ def main(argv: list[str] | None = None) -> int:
     _pin_threads(cfg["threads"])
 
     try:
-        if args.command == "geometry":
-            payload = cmd_geometry(cfg, explicit)
-        elif args.command == "rf":
-            payload = cmd_rf(cfg, explicit)
-        elif args.command == "synth":
-            payload = cmd_synth(cfg, explicit, parser, args.command)
-        elif args.command == "stats":
-            payload = cmd_stats(cfg, explicit, parser, args.command)
-        elif args.command == "train-patch":
-            payload = cmd_train_patch(cfg, explicit, parser, args.command)
-        elif args.command == "train-image":
-            payload = cmd_train_image(cfg, explicit, parser, args.command)
-        elif args.command == "infer":
-            payload = cmd_infer(cfg, explicit, parser, args.command)
-        else:
-            payload = cmd_eval(cfg, explicit, parser, args.command)
+        _, run = COMMANDS[args.command]
+        payload = run(cfg, explicit, parser, args.command)
     except Exception as e:
         code = _exit_code_for(e)
         if code is None:

@@ -19,11 +19,10 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .geometry import PatchGrid, extract_patch, patch_coords
 from .rng import derive
 from .tensor import Tensor
 
@@ -49,10 +48,10 @@ __all__ = [
     "synth_dataset",
     "generate_dataset_dir",
     "split_manifest",
-    "patch_dataset",
+    "N_CLASSES",
 ]
 
-N_CLASSES = 4
+N_CLASSES = 4  # the one class count; model, trainer and cli import it
 _REFERENCE_AREA = 256 * 192  # blob densities are quoted at this image area
 
 
@@ -195,7 +194,7 @@ def _validate_records(records: list[ManifestRecord]) -> None:
             raise ManifestError(f"duplicate path {r.path!r}")
         seen.add(r.path)
         if not isinstance(r.label, int) or not 0 <= r.label < N_CLASSES:
-            raise ManifestError(f"label {r.label!r} for {r.path!r} not in 0..3")
+            raise ManifestError(f"label {r.label!r} for {r.path!r} not in 0..{N_CLASSES - 1}")
         if r.split not in ("train", "val"):
             raise ManifestError(f"split {r.split!r} for {r.path!r} not train/val")
 
@@ -428,22 +427,3 @@ def generate_dataset_dir(out_dir: str | Path, n_per_class: int, image_w: int,
     manifest = replace(manifest, root=out_dir)
     save_manifest(out_dir / "manifest.json", manifest)
     return manifest
-
-
-# ---------------------------------------------------------------------------
-# patch streams
-
-def patch_dataset(images: Iterable[LabeledImage], window: int, stride: int,
-                  mode: str = "overlap") -> Iterator[tuple[Tensor, int, str]]:
-    """Stream (patch, inherited label, parent id) in deterministic order:
-    image order x row-major patch coordinates.  Tile mode forces stride =
-    window (non-overlapping cover)."""
-    if mode not in ("overlap", "tile"):
-        raise ValueError(f"mode must be 'overlap' or 'tile', got {mode!r}")
-    if mode == "tile":
-        stride = window
-    for img in images:
-        _, h, w = img.pixels.shape
-        grid = PatchGrid(image_w=w, image_h=h, window=window, stride=stride)
-        for x, y in patch_coords(grid):
-            yield extract_patch(img.pixels, x, y, window), img.label, img.source_id

@@ -2,6 +2,7 @@
 
 Everything here is integer math, parameterized rather than hard-coded, so the
 full-resolution configuration and the desk-scale one share the same formulas.
+``patch_windows`` is the one place that turns a grid into pixel crops.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = [
     "GeometryError",
     "PatchGrid",
@@ -20,7 +19,7 @@ __all__ = [
     "RFState",
     "patch_count",
     "patch_coords",
-    "extract_patch",
+    "patch_windows",
     "output_size",
     "receptive_field",
     "max_stride_for_coverage",
@@ -85,16 +84,20 @@ def patch_coords(grid: PatchGrid) -> list[tuple[int, int]]:
             for j in range(grid.n_y) for i in range(grid.n_x)]
 
 
-def extract_patch(image: Tensor, x: int, y: int, window: int) -> Tensor:
-    """Exact (C, window, window) crop at offset (x, y)."""
+def patch_windows(image: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Read-only (n_y, n_x, C, window, window) view of every patch of a
+    (C, H, W) array; ``[j, i]`` is the crop at offset (i*stride, j*stride),
+    so a row-major flatten follows ``patch_coords``.  Nothing is copied."""
     if image.ndim != 3:
-        raise GeometryError(f"extract_patch expects (C, H, W), got {image.shape}")
+        raise GeometryError(f"patch_windows expects (C, H, W), got {image.shape}")
     _, h, w = image.shape
-    if x < 0 or y < 0 or x + window > w or y + window > h:
+    if (w, h) != (grid.image_w, grid.image_h):
         raise GeometryError(
-            f"patch ({x}, {y}) size {window} out of bounds for image {w}x{h}"
+            f"grid is for a {grid.image_w}x{grid.image_h} image, got {w}x{h}"
         )
-    return Tensor(np.ascontiguousarray(image.data[:, y:y + window, x:x + window]))
+    k, s = grid.window, grid.stride
+    view = np.lib.stride_tricks.sliding_window_view(image, (k, k), axis=(1, 2))
+    return view[:, ::s, ::s].transpose(1, 2, 0, 3, 4)
 
 
 @dataclass(frozen=True)

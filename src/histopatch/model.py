@@ -11,14 +11,16 @@ hyper-parameters (base width B, feature depth C, head depth D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from . import ops
 from .autodiff import Tape
-from .geometry import LayerGeom, PatchGrid, RFState, output_size, patch_coords, receptive_field
+from .data import N_CLASSES
+from .geometry import (LayerGeom, PatchGrid, RFState, output_size, patch_windows,
+                       receptive_field)
 from .rng import derive
 from .tensor import Tensor
 
@@ -38,7 +40,6 @@ __all__ = [
     "CLASS_NAMES",
 ]
 
-N_CLASSES = 4
 CLASS_NAMES = ("normal tissue", "benign tissue", "in situ carcinoma", "invasive carcinoma")
 
 DropoutRngFactory = Callable[[int], np.random.Generator]
@@ -150,29 +151,18 @@ class NetworkSpec:
                 for l in self.layers if l.kind == "conv"]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "layers": [l.to_dict() for l in self.layers],
-            "base_width": self.base_width,
-            "feature_depth": self.feature_depth,
-            "head_depth": self.head_depth,
-            "n_patches": self.n_patches,
-            "feature_cut": self.feature_cut,
-            "n_classes": self.n_classes,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["layers"] = [l.to_dict() for l in self.layers]
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkSpec":
-        return NetworkSpec(
-            kind=d["kind"],
-            layers=tuple(LayerSpec.from_dict(ld) for ld in d["layers"]),
-            base_width=d.get("base_width"),
-            feature_depth=d.get("feature_depth"),
-            head_depth=d.get("head_depth"),
-            n_patches=d.get("n_patches"),
-            feature_cut=d.get("feature_cut"),
-            n_classes=d.get("n_classes", N_CLASSES),
-        )
+        """Inverse of ``to_dict``; a missing size takes the field's default."""
+        sizes = {f.name: d.get(f.name, f.default) for f in fields(NetworkSpec)
+                 if f.name not in ("kind", "layers")}
+        return NetworkSpec(kind=d["kind"],
+                           layers=tuple(LayerSpec.from_dict(ld) for ld in d["layers"]),
+                           **sizes)
 
 
 def _conv_block(layers: list[LayerSpec], in_ch: int, out_ch: int, kernel: int,
@@ -336,14 +326,12 @@ def init_params(spec: NetworkSpec, seed: int) -> dict[str, Tensor]:
 
 def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mode: str,
                     tape: Tape | None = None, dropout_rng: DropoutRngFactory | None = None,
-                    dropout_mode: str | None = None, stop_after: int | None = None,
-                    with_softmax: bool = False) -> Tensor:
+                    stop_after: int | None = None, with_softmax: bool = False) -> Tensor:
     """Run the layer stack on ``x``.
 
     ``stop_after`` returns the output of that layer index (feature
     extraction).  The trailing softmax is skipped unless ``with_softmax`` —
-    training reads raw logits.  Dropout follows ``dropout_mode`` when given
-    (so it can be forced off during a train-mode pass), otherwise ``mode``.
+    training reads raw logits.  Dropout is active only in train mode.
     """
     cur = x
     for i, layer in enumerate(spec.layers):
@@ -358,8 +346,7 @@ def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mod
         elif layer.kind == "relu":
             cur = ops.relu(cur, tape=tape)
         elif layer.kind == "dropout":
-            dmode = dropout_mode if dropout_mode is not None else mode
-            if dmode == "train" and layer.rate > 0:
+            if mode == "train" and layer.rate > 0:
                 if dropout_rng is None:
                     raise ValueError("train-mode forward through dropout needs dropout_rng")
                 cur = ops.dropout(cur, layer.rate, "train", rng=dropout_rng(i), tape=tape)
@@ -420,14 +407,11 @@ def image_feature_stack(pw_spec: NetworkSpec, pw_params: dict[str, Tensor],
                         image: Tensor, window: int) -> Tensor:
     """Tile a normalized (3, H, W) image with non-overlapping patches, extract
     per-patch features in one eval batch, and stack them channel-wise."""
-    if image.ndim != 3:
-        raise ValueError(f"image must be (3, H, W), got {image.shape}")
-    _, h, w = image.shape
+    h, w = image.shape[-2:]
     grid = PatchGrid(image_w=w, image_h=h, window=window, stride=window)
-    coords = patch_coords(grid)
-    batch = np.stack([image.data[:, y:y + window, x:x + window] for x, y in coords])
+    batch = patch_windows(image.data, grid).reshape(grid.total, -1, window, window)
     feats = extract_features(pw_spec, pw_params, Tensor(batch))
-    per_patch = [Tensor(np.ascontiguousarray(feats.data[i])) for i in range(grid.total)]
+    per_patch = [Tensor(f) for f in feats.data]
     return stack_features(per_patch, expected_count=grid.total)
 
 

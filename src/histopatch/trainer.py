@@ -1,10 +1,12 @@
-"""Training loops for both stages, early stopping, and evaluation metrics.
+"""Training for both stages, early stopping, and evaluation metrics.
 
 Stage one fits the patch-wise network on overlapping patches that inherit
 their parent image's label.  Stage two freezes that network, turns every
 image into a channel-stacked feature map via non-overlapping tiles, and fits
-the image-wise classifier on top.  Both stages stop early once validation
-accuracy stops improving and keep the best-epoch parameters.
+the image-wise classifier on top.  Both stages run the same loop (``_fit``):
+momentum SGD that stops early once validation accuracy stops improving, keeps
+the best-epoch parameters, and refuses to go on once a loss, gradient, weight
+or batchnorm statistic turns non-finite.
 
 Runs are reproducible: every random draw (shuffles, dropout masks, init)
 comes from a counter-based generator derived from the run seed, so identical
@@ -15,14 +17,14 @@ mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from . import ops
 from .autodiff import Tape
-from .data import LabeledImage, Manifest, load_images
-from .geometry import PatchGrid, patch_coords
+from .data import N_CLASSES, LabeledImage, Manifest, load_images
+from .geometry import PatchGrid, patch_windows
 from .model import (
     NetworkSpec,
     canonical_imagewise_spec,
@@ -52,11 +54,11 @@ __all__ = [
     "evaluate_images",
 ]
 
-N_CLASSES = 4
 EVAL_BATCH = 64  # fixed so recorded and recomputed accuracies share shapes
 
 Logger = Callable[[str], None]
 EpochHook = Callable[[int, dict[str, Tensor]], None]
+_SHUFFLE_STREAMS = {"patchwise": "shuffle.patch", "imagewise": "shuffle.image"}
 
 
 @dataclass
@@ -193,23 +195,16 @@ def metrics_from_confusion(m: np.ndarray) -> tuple[float, list[float], list[floa
     return accuracy, precision, recall
 
 
-def _shuffled_batches(n: int, batch_size: int,
-                      rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Seeded permutation chopped into batches; stragglers smaller than 2 are
-    dropped (batch norm needs a variance)."""
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        chunk = perm[start:start + batch_size]
-        if len(chunk) >= 2:
-            yield chunk
-
-
 def _snapshot(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            for name, t in params.items()}
+    return {name: t.copy() for name, t in params.items()}
 
 
-def _check_manifest(manifest: Manifest) -> None:
+def _load_splits(manifest: Manifest, config: TrainConfig, stage: str
+                 ) -> tuple[list[LabeledImage], list[LabeledImage]]:
+    """Check the config and the manifest, then load both splits normalized."""
+    config.validate()
+    if config.stage != stage:
+        raise ValueError(f"config stage is {config.stage!r}, expected {stage}")
     if manifest.stats is None:
         raise ValueError("manifest has no normalization stats; compute them first")
     train = manifest.split_records("train")
@@ -220,11 +215,100 @@ def _check_manifest(manifest: Manifest) -> None:
     missing = sorted(set(range(N_CLASSES)) - present)
     if missing:
         raise ValueError(f"train split is missing classes {missing}")
+    return (load_images(manifest, "train", normalized=True),
+            load_images(manifest, "val", normalized=True))
 
 
 def _log(log: Logger | None, msg: str) -> None:
     if log is not None:
         log(msg)
+
+
+# ---------------------------------------------------------------------------
+# the training loop both stages share
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fit(spec: NetworkSpec, config: TrainConfig, labels: np.ndarray,
+         gather: Callable[[np.ndarray], np.ndarray], forward: Callable[..., Tensor],
+         validate: Callable[[dict[str, Tensor]], np.ndarray],
+         log: Logger | None, epoch_hook: EpochHook | None
+         ) -> tuple[dict[str, Tensor], Metrics]:
+    """Momentum SGD with early stopping on validation accuracy.
+
+    ``gather(idxs)`` assembles a training batch, ``forward(params, batch,
+    tape, dropout_rng)`` gives its logits and ``validate(params)`` a
+    validation confusion matrix.  A step whose loss, gradients, weights or
+    batchnorm running statistics hold a non-finite value stops the run with
+    a ValueError (numpy's overflow warnings are muted, as this check
+    reports them).  Returns the best epoch's parameters and the run's
+    metrics.
+    """
+    params = init_params(spec, config.seed)
+    trainables = trainable_names(spec)
+    velocity = {n: np.zeros_like(params[n].data) for n in trainables}
+
+    epochs: list[EpochRecord] = []
+    best_params = _snapshot(params)
+    best_epoch = -1
+    for epoch in range(config.max_epochs):
+        perm = derive(config.seed, _SHUFFLE_STREAMS[spec.kind], epoch).permutation(len(labels))
+        batches = np.split(perm, range(config.batch_size, len(perm), config.batch_size))
+        loss_sum, n_sum = 0.0, 0
+        # a straggler smaller than 2 is dropped: batch norm needs a variance
+        for batch_i, idxs in enumerate(b for b in batches if len(b) >= 2):
+            tape = Tape()
+            counter = epoch * 1_000_000 + batch_i
+            logits = forward(params, Tensor(gather(idxs)), tape,
+                             lambda layer: derive(config.seed, f"dropout.l{layer}", counter))
+            loss = ops.cross_entropy(logits, labels[idxs], tape=tape)
+            for n in trainables:
+                params[n].zero_grad()
+            tape.backward(loss)
+            grads = {n: params[n].grad for n in trainables}
+            sgd_step(params, grads, velocity, config.lr, config.momentum)
+            bad = [f"{n} gradient" for n, g in grads.items() if not np.isfinite(g).all()]
+            bad += [n for n, t in params.items() if not np.isfinite(t.data).all()]
+            if bad or not np.isfinite(loss.item()):
+                raise ValueError(f"training diverged at epoch {epoch}, batch {batch_i}: "
+                                 f"loss {loss.item():.4g}, {len(bad)} non-finite "
+                                 f"tensors {bad[:3]}")
+            loss_sum += loss.item() * len(idxs)
+            n_sum += len(idxs)
+
+        val_acc, _, _ = metrics_from_confusion(validate(params))
+        epochs.append(EpochRecord(epoch, loss_sum / n_sum, val_acc))
+        _log(log, f"epoch {epoch}: train_loss {loss_sum / n_sum:.4f} "
+                  f"val_acc {val_acc:.4f}")
+        if epoch_hook is not None:
+            epoch_hook(epoch, params)
+        stop, best_epoch = early_stop([e.val_acc for e in epochs], config.patience)
+        if best_epoch == epoch:
+            best_params = _snapshot(params)
+        if stop:
+            _log(log, f"early stop after epoch {epoch}, best epoch {best_epoch}")
+            break
+
+    confusion = validate(best_params)
+    accuracy, precision, recall = metrics_from_confusion(confusion)
+    metrics = Metrics(epochs=epochs, confusion=confusion.tolist(),
+                      accuracy=accuracy, precision=precision, recall=recall,
+                      best_epoch=best_epoch)
+    return best_params, metrics
+
+
+def _result(spec: NetworkSpec, config: TrainConfig, manifest: Manifest,
+            params: dict[str, Tensor], metrics: Metrics) -> TrainResult:
+    """Bundle a fitted network with the provenance its checkpoint carries:
+    the spec's sizes, the run's settings, norm stats and the outcome."""
+    sizes = ("base_width", "feature_depth", "head_depth", "n_patches")
+    meta = {k: getattr(spec, k) for k in sizes if getattr(spec, k) is not None}
+    settings = ("window", "seed", "lr", "momentum", "batch_size", "max_epochs", "patience",
+                "stride" if spec.kind == "patchwise" else "dropout_rate")
+    meta.update((k, getattr(config, k)) for k in settings)
+    meta.update(stage=spec.kind, norm_mean=list(manifest.stats.mean),
+                norm_std=list(manifest.stats.std), best_epoch=metrics.best_epoch,
+                val_acc=metrics.accuracy)
+    return TrainResult(spec=spec, params=params, meta=meta, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +318,15 @@ class _PatchIndex:
     """Flat random-access view over every patch of a list of images."""
 
     def __init__(self, images: list[LabeledImage], window: int, stride: int):
-        self.images = images
         self.window = window
+        self.windows = []  # one (n_y, n_x, 3, k, k) view per image
         entries = []
         for i, img in enumerate(images):
             _, h, w = img.pixels.shape
             grid = PatchGrid(image_w=w, image_h=h, window=window, stride=stride)
-            for x, y in patch_coords(grid):
-                entries.append((i, x, y))
+            self.windows.append(patch_windows(img.pixels.data, grid))
+            entries += [(i, row, col)
+                        for row in range(grid.n_y) for col in range(grid.n_x)]
         self.entries = np.asarray(entries, dtype=np.int64)
         self.labels = np.asarray([images[i].label for i, _, _ in entries],
                                  dtype=np.int64)
@@ -252,9 +337,10 @@ class _PatchIndex:
     def gather(self, idxs: np.ndarray) -> np.ndarray:
         k = self.window
         batch = np.empty((len(idxs), 3, k, k), dtype=np.float32)
-        for j, t in enumerate(idxs):
-            i, x, y = self.entries[t]
-            batch[j] = self.images[i].pixels.data[:, y:y + k, x:x + k]
+        image, row, col = self.entries[idxs].T
+        for i in np.unique(image):
+            hit = image == i
+            batch[hit] = self.windows[i][row[hit], col[hit]]
         return batch
 
 
@@ -296,111 +382,35 @@ def train_patchwise(manifest: Manifest, config: TrainConfig,
     ``epoch_hook(epoch, params)`` is called with the live parameter dict
     after each epoch's validation, for diagnostics only.
     """
-    config.validate()
-    if config.stage != "patchwise":
-        raise ValueError(f"config stage is {config.stage!r}, expected patchwise")
-    _check_manifest(manifest)
-
-    train_imgs = load_images(manifest, "train", normalized=True)
-    val_imgs = load_images(manifest, "val", normalized=True)
+    train_imgs, val_imgs = _load_splits(manifest, config, "patchwise")
     index = _PatchIndex(train_imgs, config.window, config.stride)
     _log(log, f"stage 1: {len(train_imgs)} train images -> {len(index)} patches, "
               f"{len(val_imgs)} val images")
 
     spec = canonical_patchwise_spec(config.base_width, config.feature_depth)
-    params = init_params(spec, config.seed)
-    trainables = trainable_names(spec)
-    velocity = {n: np.zeros_like(params[n].data) for n in trainables}
-
-    epochs: list[EpochRecord] = []
-    best_params = _snapshot(params)
-    best_acc, best_epoch = -1.0, -1
-    for epoch in range(config.max_epochs):
-        shuffle_rng = derive(config.seed, "shuffle.patch", epoch)
-        loss_sum, n_sum = 0.0, 0
-        for idxs in _shuffled_batches(len(index), config.batch_size, shuffle_rng):
-            tape = Tape()
-            batch = Tensor(index.gather(idxs))
-            logits = patchwise_logits(spec, params, batch, "train", tape=tape)
-            loss = ops.cross_entropy(logits, index.labels[idxs], tape=tape)
-            for n in trainables:
-                params[n].grad = None
-            tape.backward(loss)
-            grads = {n: params[n].grad for n in trainables}
-            sgd_step(params, grads, velocity, config.lr, config.momentum)
-            loss_sum += loss.item() * len(idxs)
-            n_sum += len(idxs)
-
-        confusion = evaluate_patches(spec, params, val_imgs, config.window,
-                                     config.stride)
-        val_acc, _, _ = metrics_from_confusion(confusion)
-        epochs.append(EpochRecord(epoch, loss_sum / n_sum, val_acc))
-        _log(log, f"epoch {epoch}: train_loss {loss_sum / n_sum:.4f} "
-                  f"val_acc {val_acc:.4f}")
-        if epoch_hook is not None:
-            epoch_hook(epoch, params)
-        if val_acc > best_acc:
-            best_acc, best_epoch = val_acc, epoch
-            best_params = _snapshot(params)
-        stop, _ = early_stop([e.val_acc for e in epochs], config.patience)
-        if stop:
-            _log(log, f"early stop after epoch {epoch}, best epoch {best_epoch}")
-            break
-
-    confusion = evaluate_patches(spec, best_params, val_imgs, config.window,
-                                 config.stride)
-    accuracy, precision, recall = metrics_from_confusion(confusion)
-    metrics = Metrics(epochs=epochs, confusion=confusion.tolist(),
-                      accuracy=accuracy, precision=precision, recall=recall,
-                      best_epoch=best_epoch)
-    meta = {
-        "stage": "patchwise",
-        "window": config.window,
-        "stride": config.stride,
-        "base_width": config.base_width,
-        "feature_depth": config.feature_depth,
-        "seed": config.seed,
-        "lr": config.lr,
-        "momentum": config.momentum,
-        "batch_size": config.batch_size,
-        "max_epochs": config.max_epochs,
-        "patience": config.patience,
-        "norm_mean": list(manifest.stats.mean),
-        "norm_std": list(manifest.stats.std),
-        "best_epoch": best_epoch,
-        "val_acc": accuracy,
-    }
-    return TrainResult(spec=spec, params=best_params, meta=meta, metrics=metrics)
+    params, metrics = _fit(
+        spec, config, index.labels, index.gather,
+        lambda params, batch, tape, _rng: patchwise_logits(spec, params, batch,
+                                                           "train", tape=tape),
+        lambda params: evaluate_patches(spec, params, val_imgs, config.window,
+                                        config.stride),
+        log, epoch_hook)
+    return _result(spec, config, manifest, params, metrics)
 
 
 # ---------------------------------------------------------------------------
 # stage two
 
-def _image_grid(images: list[LabeledImage], window: int) -> PatchGrid:
-    shapes = {img.pixels.shape for img in images}
-    if len(shapes) != 1:
-        raise ValueError(f"images must share one shape, got {sorted(shapes)}")
-    _, h, w = next(iter(shapes))
-    return PatchGrid(image_w=w, image_h=h, window=window, stride=window)
-
-
-def _feature_stacks(pw_spec: NetworkSpec, pw_params: dict[str, Tensor],
-                    images: list[LabeledImage], window: int) -> list[Tensor]:
-    return [image_feature_stack(pw_spec, pw_params, img.pixels, window)
-            for img in images]
-
-
-def _stack_accuracy(iw_spec: NetworkSpec, iw_params: dict[str, Tensor],
-                    stacks: list[Tensor], labels: list[int]) -> tuple[np.ndarray, float]:
-    """Confusion and accuracy over cached feature stacks, one image per
-    forward pass (the exact shapes the inference path uses)."""
+def _stack_confusion(iw_spec: NetworkSpec, iw_params: dict[str, Tensor],
+                     stacks: list[Tensor], labels: list[int]) -> np.ndarray:
+    """Confusion over cached feature stacks, one image per forward pass (the
+    exact shapes the inference path uses)."""
     m = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for stack, label in zip(stacks, labels):
         probs = network_forward(iw_spec, iw_params, Tensor(stack.data[None]),
                                 "eval", with_softmax=True)
         m[label, int(np.argmax(probs.data[0]))] += 1
-    acc, _, _ = metrics_from_confusion(m)
-    return m, acc
+    return m
 
 
 def train_imagewise(manifest: Manifest, pw_spec: NetworkSpec,
@@ -413,94 +423,33 @@ def train_imagewise(manifest: Manifest, pw_spec: NetworkSpec,
     eval mode once and reused across epochs.  ``epoch_hook`` behaves as in
     ``train_patchwise``.
     """
-    config.validate()
-    if config.stage != "imagewise":
-        raise ValueError(f"config stage is {config.stage!r}, expected imagewise")
     if pw_spec.kind != "patchwise":
         raise ValueError(f"first-stage checkpoint has kind {pw_spec.kind!r}")
-    _check_manifest(manifest)
-
-    train_imgs = load_images(manifest, "train", normalized=True)
-    val_imgs = load_images(manifest, "val", normalized=True)
-    grid = _image_grid(train_imgs + val_imgs, config.window)
-    feature_depth = pw_spec.feature_depth
+    train_imgs, val_imgs = _load_splits(manifest, config, "imagewise")
+    shapes = {img.pixels.shape for img in train_imgs + val_imgs}
+    if len(shapes) != 1:
+        raise ValueError(f"images must share one shape, got {sorted(shapes)}")
+    _, h, w = shapes.pop()
+    grid = PatchGrid(image_w=w, image_h=h, window=config.window, stride=config.window)
     iw_spec = canonical_imagewise_spec(n_patches=grid.total,
-                                       feature_depth=feature_depth,
+                                       feature_depth=pw_spec.feature_depth,
                                        head_depth=config.head_depth,
                                        dropout_rate=config.dropout_rate)
 
     _log(log, f"stage 2: caching feature stacks for {len(train_imgs)} train "
               f"+ {len(val_imgs)} val images ({grid.total} patches each)")
-    train_stacks = _feature_stacks(pw_spec, pw_params, train_imgs, config.window)
-    val_stacks = _feature_stacks(pw_spec, pw_params, val_imgs, config.window)
-    train_labels = np.asarray([img.label for img in train_imgs], dtype=np.int64)
+    train_stacks = [image_feature_stack(pw_spec, pw_params, img.pixels, config.window)
+                    for img in train_imgs]
+    val_stacks = [image_feature_stack(pw_spec, pw_params, img.pixels, config.window)
+                  for img in val_imgs]
     val_labels = [img.label for img in val_imgs]
 
-    iw_params = init_params(iw_spec, config.seed)
-    trainables = trainable_names(iw_spec)
-    velocity = {n: np.zeros_like(iw_params[n].data) for n in trainables}
-
-    epochs: list[EpochRecord] = []
-    best_params = _snapshot(iw_params)
-    best_acc, best_epoch = -1.0, -1
-    for epoch in range(config.max_epochs):
-        shuffle_rng = derive(config.seed, "shuffle.image", epoch)
-        loss_sum, n_sum = 0.0, 0
-        for batch_i, idxs in enumerate(
-                _shuffled_batches(len(train_stacks), config.batch_size, shuffle_rng)):
-            tape = Tape()
-            batch = Tensor(np.stack([train_stacks[i].data for i in idxs]))
-
-            def dropout_rng(layer_idx: int, _e: int = epoch, _b: int = batch_i):
-                return derive(config.seed, f"dropout.l{layer_idx}",
-                              _e * 1_000_000 + _b)
-
-            logits = network_forward(iw_spec, iw_params, batch, "train",
-                                     tape=tape, dropout_rng=dropout_rng)
-            loss = ops.cross_entropy(logits, train_labels[idxs], tape=tape)
-            for n in trainables:
-                iw_params[n].grad = None
-            tape.backward(loss)
-            grads = {n: iw_params[n].grad for n in trainables}
-            sgd_step(iw_params, grads, velocity, config.lr, config.momentum)
-            loss_sum += loss.item() * len(idxs)
-            n_sum += len(idxs)
-
-        _, val_acc = _stack_accuracy(iw_spec, iw_params, val_stacks, val_labels)
-        epochs.append(EpochRecord(epoch, loss_sum / n_sum, val_acc))
-        _log(log, f"epoch {epoch}: train_loss {loss_sum / n_sum:.4f} "
-                  f"val_acc {val_acc:.4f}")
-        if epoch_hook is not None:
-            epoch_hook(epoch, iw_params)
-        if val_acc > best_acc:
-            best_acc, best_epoch = val_acc, epoch
-            best_params = _snapshot(iw_params)
-        stop, _ = early_stop([e.val_acc for e in epochs], config.patience)
-        if stop:
-            _log(log, f"early stop after epoch {epoch}, best epoch {best_epoch}")
-            break
-
-    confusion, accuracy = _stack_accuracy(iw_spec, best_params, val_stacks, val_labels)
-    _, precision, recall = metrics_from_confusion(confusion)
-    metrics = Metrics(epochs=epochs, confusion=confusion.tolist(),
-                      accuracy=accuracy, precision=precision, recall=recall,
-                      best_epoch=best_epoch)
-    meta = {
-        "stage": "imagewise",
-        "window": config.window,
-        "n_patches": grid.total,
-        "feature_depth": feature_depth,
-        "head_depth": config.head_depth,
-        "dropout_rate": config.dropout_rate,
-        "seed": config.seed,
-        "lr": config.lr,
-        "momentum": config.momentum,
-        "batch_size": config.batch_size,
-        "max_epochs": config.max_epochs,
-        "patience": config.patience,
-        "norm_mean": list(manifest.stats.mean),
-        "norm_std": list(manifest.stats.std),
-        "best_epoch": best_epoch,
-        "val_acc": accuracy,
-    }
-    return TrainResult(spec=iw_spec, params=best_params, meta=meta, metrics=metrics)
+    params, metrics = _fit(
+        iw_spec, config,
+        np.asarray([img.label for img in train_imgs], dtype=np.int64),
+        lambda idxs: np.stack([train_stacks[i].data for i in idxs]),
+        lambda params, batch, tape, rng: network_forward(
+            iw_spec, params, batch, "train", tape=tape, dropout_rng=rng),
+        lambda params: _stack_confusion(iw_spec, params, val_stacks, val_labels),
+        log, epoch_hook)
+    return _result(iw_spec, config, manifest, params, metrics)

@@ -147,6 +147,26 @@ def test_missing_param_on_save(tmp_path, small_pw):
         save_checkpoint(tmp_path / "bad.ckpt", spec, partial)
 
 
+def test_non_finite_tensor_refused(tmp_path, small_pw):
+    spec, params = small_pw
+    bad = dict(params)
+    bad["01.running_var"] = params["01.running_var"].copy()
+    bad["01.running_var"].data[0] = np.inf
+    path = tmp_path / "bad.ckpt"
+    with pytest.raises(CheckpointError, match="01.running_var"):
+        save_checkpoint(path, spec, bad)
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temporary
+
+
+def test_save_replaces_existing_file_whole(tmp_path, small_pw):
+    spec, params = small_pw
+    path = tmp_path / "pw.ckpt"
+    path.write_bytes(b"stale")
+    save_checkpoint(path, spec, params)
+    load_checkpoint(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["pw.ckpt"]
+
+
 def test_running_stats_persisted(tmp_path, small_pw):
     spec, params = small_pw
     # give the running stats distinctive values, as training would

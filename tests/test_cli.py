@@ -149,6 +149,51 @@ class TestTrainCommands:
                 "--patch-checkpoint", tiny_cli_artifacts["image_ckpt"],
                 "--out", tmp_path, expect=4)
 
+    def test_divergent_training_exits_2_without_artifacts(self, run_cli, tmp_path):
+        data, out = tmp_path / "ds", tmp_path / "run"
+        run_cli("synth", "--out", data, "--n-per-class", "6",
+                "--image-w", "128", "--image-h", "96", "--seed", "1")
+        run_cli("stats", "--manifest", data / "manifest.json")
+        proc = run_cli("train-patch", "--manifest", data / "manifest.json", "--out", out,
+                       "--lr", "1e6", "--window", "32", "--stride", "16",
+                       "--base-width", "2", "--feature-depth", "2", "--epochs", "2",
+                       "--batch-size", "16", expect=2)
+        assert proc.stdout == ""
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith("stage 1")]
+        assert len(errors) == 1 and errors[0].startswith("error: training diverged at epoch")
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, needs", [
+        ("train-patch", {"--out": "run"}),
+        ("train-image", {"--out": "run", "--patch-checkpoint": "patch_ckpt"}),
+        ("infer", {"--patch-checkpoint": "patch_ckpt", "--image-checkpoint": "image_ckpt",
+                   "--image": "missing.ppm"}),
+        ("eval", {"--patch-checkpoint": "patch_ckpt", "--image-checkpoint": "image_ckpt"}),
+    ])
+    def test_window_too_small_for_stacks_exits_2(self, run_cli, tiny_cli_artifacts,
+                                                 tmp_path, command, needs):
+        # window 16 passes the patch-wise stack but leaves the image-wise one
+        # a 2x2 map, which its second stride-2 conv collapses; the check runs
+        # before any image is read (a missing image would otherwise exit 3)
+        args = []
+        for flag, name in needs.items():
+            args += [flag, tiny_cli_artifacts.get(name, tmp_path / name)]
+        proc = run_cli(command, "--manifest", tiny_cli_artifacts["manifest"],
+                       "--window", "16", "--stride", "16", *args, expect=2)
+        assert proc.stderr.splitlines() == [
+            "error: window 16 is too small for the image-wise stack: layer 5 "
+            "(2x2 s2 p0) collapses the map to size 0"]
+        assert not (tmp_path / "run").exists()
+
+    def test_smallest_window_both_stacks_carry_is_32(self):
+        from histopatch.cli import _check_window
+        from histopatch.geometry import GeometryError
+
+        for window in (8, 16, 24, 31):
+            with pytest.raises(GeometryError, match=f"window {window} is too small"):
+                _check_window(window)
+        _check_window(32)
+
     def test_train_patch_without_stats_exits_2(self, run_cli, tmp_path):
         out = tmp_path / "ds"
         run_cli("synth", "--out", out, "--n-per-class", "2",
@@ -265,6 +310,27 @@ class TestConfigHandling:
         doc = json.loads(proc.stdout)
         assert doc["command"] == "train-patch"
         assert "epoch 0" in proc.stderr
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("threads", None, "an integer"), ("window", 63.9, "an integer"),
+        ("seed", True, "an integer"), ("seed", [1], "an integer"),
+        ("lr", None, "a number"), ("momentum", "0.9", "a number"),
+        ("dropout", False, "a number"),
+    ])
+    def test_wrong_config_type_exits_2(self, run_cli, tmp_path, key, value, what):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        proc = run_cli("geometry", "--config", cfg, expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: {key} must be {what}, got {json.dumps(value)}"]
+
+    def test_numeric_config_types_accepted(self, run_cli, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 1, "dropout": 0.25, "epochs": None, "seed": 3}))
+        doc = out_json(run_cli("geometry", "--config", cfg))
+        assert doc["config"]["lr"] == 1.0 and isinstance(doc["config"]["lr"], float)
+        assert doc["config"]["epochs"] is None and doc["config"]["seed"] == 3
 
     def test_threads_flag_validated(self, run_cli):
         run_cli("geometry", "--threads", "0", expect=2)

@@ -9,7 +9,6 @@ import pytest
 
 from histopatch.data import (
     CLASS_TEXTURES,
-    LabeledImage,
     Manifest,
     ManifestError,
     ManifestRecord,
@@ -23,7 +22,6 @@ from histopatch.data import (
     load_manifest,
     max_blob_radius,
     normalize_pixels,
-    patch_dataset,
     read_ppm,
     save_manifest,
     split_manifest,
@@ -376,43 +374,3 @@ class TestGenerateDatasetDir:
         raw = load_images(tiny_manifest, split="val")
         expect = normalize_pixels(raw[0].pixels, stats)
         npt.assert_array_equal(images[0].pixels.data, expect.data)
-
-
-class TestPatchDataset:
-    def _image(self, label, value, w=128, h=96):
-        return LabeledImage(pixels=Tensor(np.full((3, h, w), value, np.float32)),
-                            label=label, source_id=f"img{label}")
-
-    def test_counts_and_inheritance(self):
-        images = [self._image(0, 0.1), self._image(3, 0.9)]
-        patches = list(patch_dataset(images, window=64, stride=32))
-        # 128x96 at window 64 stride 32: 3 x 2 = 6 per image
-        assert len(patches) == 12
-        assert [lbl for _, lbl, _ in patches] == [0] * 6 + [3] * 6
-        assert {src for _, _, src in patches} == {"img0", "img3"}
-        for p, _, _ in patches:
-            assert p.shape == (3, 64, 64)
-
-    def test_order_matches_coords(self):
-        img = LabeledImage(
-            pixels=Tensor(np.arange(3 * 4 * 6, dtype=np.float32).reshape(3, 4, 6)),
-            label=1, source_id="x")
-        patches = list(patch_dataset([img], window=2, stride=2))
-        assert len(patches) == 6
-        npt.assert_array_equal(patches[0][0].data, img.pixels.data[:, 0:2, 0:2])
-        npt.assert_array_equal(patches[1][0].data, img.pixels.data[:, 0:2, 2:4])
-        npt.assert_array_equal(patches[3][0].data, img.pixels.data[:, 2:4, 0:2])
-
-    def test_tile_mode_forces_window_stride(self):
-        images = [self._image(2, 0.5)]
-        patches = list(patch_dataset(images, window=64, stride=17, mode="tile"))
-        assert len(patches) == 2  # 128x96 tiled by 64: 2 x 1
-
-    def test_overlap_vs_tile_counts_at_full_shape_ratio(self):
-        images = [self._image(0, 0.2, w=256, h=192)]
-        assert len(list(patch_dataset(images, 64, 32))) == 35
-        assert len(list(patch_dataset(images, 64, 64, mode="tile"))) == 12
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            list(patch_dataset([], 64, 32, mode="random"))

@@ -9,15 +9,14 @@ from histopatch.geometry import (
     LayerGeom,
     PatchGrid,
     RFState,
-    extract_patch,
     max_stride_for_coverage,
     output_size,
     patch_coords,
     patch_count,
+    patch_windows,
     receptive_field,
 )
 from histopatch.model import canonical_imagewise_spec, canonical_patchwise_spec
-from histopatch.tensor import Tensor
 
 from helpers import gradient_support, random_small_stack
 
@@ -75,23 +74,57 @@ class TestPatchGrid:
             PatchGrid(100, 100, window=10, stride=0)
 
 
-class TestExtractPatch:
-    def test_values_match_slice(self):
-        img = Tensor(np.arange(3 * 8 * 8, dtype=np.float32).reshape(3, 8, 8))
-        patch = extract_patch(img, x=2, y=3, window=4)
-        assert patch.shape == (3, 4, 4)
-        np.testing.assert_array_equal(patch.data, img.data[:, 3:7, 2:6])
+class TestPatchWindows:
+    # (image_w, image_h, window, stride): exact cover, inexact cover on one
+    # or both axes, stride larger than the window, a single patch
+    GRIDS = [(12, 8, 4, 4), (12, 8, 4, 2), (100, 70, 24, 17), (13, 9, 4, 3),
+             (20, 11, 3, 7), (9, 9, 9, 1)]
 
-    def test_out_of_bounds_rejected(self):
-        img = Tensor(np.zeros((3, 8, 8), dtype=np.float32))
-        with pytest.raises(GeometryError):
-            extract_patch(img, x=5, y=0, window=4)
-        with pytest.raises(GeometryError):
-            extract_patch(img, x=-1, y=0, window=4)
+    @staticmethod
+    def _image(w, h, c=3):
+        return np.arange(c * h * w, dtype=np.float32).reshape(c, h, w)
+
+    def test_values_match_slice(self):
+        for w, h, k, s in self.GRIDS:
+            grid = PatchGrid(w, h, window=k, stride=s)
+            img = self._image(w, h)
+            windows = patch_windows(img, grid)
+            assert windows.shape == (grid.n_y, grid.n_x, 3, k, k)
+            flat = windows.reshape(grid.total, 3, k, k)
+            coords = patch_coords(grid)
+            assert len(coords) == grid.total
+            for p, (x, y) in enumerate(coords):
+                np.testing.assert_array_equal(flat[p], img[:, y:y + k, x:x + k])
+
+    def test_order_matches_coords(self):
+        img = self._image(6, 4)
+        windows = patch_windows(img, PatchGrid(6, 4, window=2, stride=2))
+        np.testing.assert_array_equal(windows[0, 0], img[:, 0:2, 0:2])
+        np.testing.assert_array_equal(windows[0, 1], img[:, 0:2, 2:4])
+        np.testing.assert_array_equal(windows[1, 0], img[:, 2:4, 0:2])
+
+    def test_read_only_view(self):
+        img = self._image(12, 8)
+        windows = patch_windows(img, PatchGrid(12, 8, window=4, stride=2))
+        assert np.shares_memory(windows, img)
+        assert not windows.flags.writeable
+
+    def test_tile_grid_counts(self):
+        windows = patch_windows(self._image(128, 96), PatchGrid(128, 96, 64, 64))
+        assert windows.shape[:2] == (1, 2)
+
+    def test_overlap_vs_tile_counts_at_full_shape_ratio(self):
+        img = self._image(256, 192)
+        assert patch_windows(img, PatchGrid(256, 192, 64, 32)).shape[:2] == (5, 7)
+        assert patch_windows(img, PatchGrid(256, 192, 64, 64)).shape[:2] == (3, 4)
+
+    def test_grid_of_another_shape_rejected(self):
+        with pytest.raises(GeometryError, match="8x8"):
+            patch_windows(self._image(8, 8), PatchGrid(9, 8, window=4, stride=4))
 
     def test_needs_chw(self):
         with pytest.raises(GeometryError):
-            extract_patch(Tensor(np.zeros((8, 8), dtype=np.float32)), 0, 0, 4)
+            patch_windows(np.zeros((8, 8), dtype=np.float32), PatchGrid(8, 8, 4, 4))
 
 
 class TestOutputSize:

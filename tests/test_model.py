@@ -187,12 +187,14 @@ class TestForwardShapes:
         # eval mode needs no generator
         network_forward(iw, params, x, "eval")
 
-    def test_dropout_mode_override_disables_noise(self):
+    def test_eval_mode_dropout_is_identity(self):
         iw = canonical_imagewise_spec(n_patches=2, feature_depth=2, head_depth=8)
+        no_dropout = canonical_imagewise_spec(n_patches=2, feature_depth=2, head_depth=8,
+                                              dropout_rate=0.0)
         params = init_params(iw, seed=0)
         x = Tensor(np.random.default_rng(5).normal(size=(2, 4, 8, 8)).astype(np.float32))
         a = network_forward(iw, params, x, "eval")
-        b = network_forward(iw, params, x, "eval", dropout_mode="eval")
+        b = network_forward(no_dropout, params, x, "eval")
         npt.assert_array_equal(a.data, b.data)
 
 

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from histopatch.data import (
+    LabeledImage,
     Manifest,
     ManifestRecord,
     NormStats,
@@ -17,9 +18,11 @@ from histopatch.data import (
     read_ppm,
     write_ppm,
 )
+from histopatch.geometry import PatchGrid, patch_coords
 from histopatch.tensor import Tensor
 from histopatch.trainer import (
     TrainConfig,
+    _PatchIndex,
     confusion_matrix,
     early_stop,
     evaluate_images,
@@ -192,6 +195,32 @@ def stage2(tiny_manifest, stage1):
     return train_imagewise(tiny_manifest, stage1.spec, stage1.params, _iw_config())
 
 
+class TestPatchIndex:
+    @staticmethod
+    def _image(label, w=128, h=96):
+        pixels = np.random.default_rng(label).random((3, h, w), dtype=np.float32)
+        return LabeledImage(pixels=Tensor(pixels), label=label, source_id=f"img{label}")
+
+    def test_counts_and_inheritance(self):
+        images = [self._image(0), self._image(3)]
+        index = _PatchIndex(images, window=64, stride=32)
+        # 128x96 at window 64 stride 32: 3 x 2 = 6 per image
+        assert len(index) == 12
+        npt.assert_array_equal(index.labels, [0] * 6 + [3] * 6)
+        expected = [img.pixels.data[:, y:y + 64, x:x + 64] for img in images
+                    for x, y in patch_coords(PatchGrid(128, 96, 64, 32))]
+        npt.assert_array_equal(index.gather(np.arange(12)), np.stack(expected))
+
+    def test_gather_follows_index_order(self):
+        images = [self._image(1), self._image(2, w=96)]
+        index = _PatchIndex(images, window=32, stride=24)
+        everything = index.gather(np.arange(len(index)))
+        idxs = np.random.default_rng(0).permutation(len(index))[:9]
+        batch = index.gather(idxs)
+        assert batch.dtype == np.float32 and batch.flags.c_contiguous
+        npt.assert_array_equal(batch, everything[idxs])
+
+
 class TestTrainPatchwise:
     def test_metrics_structure(self, stage1, tiny_manifest):
         metrics = stage1.metrics
@@ -222,6 +251,21 @@ class TestTrainPatchwise:
         m = evaluate_patches(stage1.spec, stage1.params, val_imgs, 64, 32)
         acc, _, _ = metrics_from_confusion(m)
         assert acc == stage1.metrics.accuracy
+
+    def test_meta_fields_per_stage(self, stage1, stage2):
+        shared = {"stage", "window", "feature_depth", "seed", "lr", "momentum",
+                  "batch_size", "max_epochs", "patience", "norm_mean", "norm_std",
+                  "best_epoch", "val_acc"}
+        assert set(stage1.meta) == shared | {"stride", "base_width"}
+        assert set(stage2.meta) == shared | {"n_patches", "head_depth", "dropout_rate"}
+        assert stage1.meta["best_epoch"] == stage1.metrics.best_epoch
+        assert stage2.meta["feature_depth"] == stage1.spec.feature_depth
+
+    def test_divergence_stops_with_epoch_and_batch(self, tiny_manifest):
+        config = _pw_config(lr=1e6, window=32, stride=16, base_width=2,
+                            feature_depth=2, max_epochs=2)
+        with pytest.raises(ValueError, match=r"diverged at epoch \d+, batch \d+"):
+            train_patchwise(tiny_manifest, config)
 
     def test_meta_carries_norm_stats(self, stage1, tiny_manifest):
         assert stage1.meta["norm_mean"] == list(tiny_manifest.stats.mean)
