@@ -50,6 +50,7 @@ _INT_KEYS = {"seed", "image_w", "image_h", "window", "stride", "base_width",
              "feature_depth", "head_depth", "epochs", "batch_size", "patience",
              "n_per_class", "threads"}
 _FLOAT_KEYS = {"lr", "momentum", "dropout", "val_fraction"}
+_PATH_KEYS = {"manifest", "patch_checkpoint", "image_checkpoint", "out", "image"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,6 +119,10 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set[str]]:
             raise ValueError(f"{key} must be {what}, got {json.dumps(val)}")
         if key in _FLOAT_KEYS:
             cfg[key] = float(val)
+    for key in sorted(_PATH_KEYS):
+        val = cfg[key]
+        if val is not None and not isinstance(val, str):
+            raise ValueError(f"{key} must be a string, got {json.dumps(val)}")
     if cfg["threads"] < 1:
         raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
     return cfg, explicit
@@ -286,8 +291,9 @@ def _load_pw(cfg: dict):
 
 
 def _check_window(window: int) -> None:
-    """Refuse a window that collapses either conv stack; the image-wise stack
-    sees the patch-wise feature maps, which are window // 8 wide."""
+    """Refuse a window that collapses either conv stack (the image-wise stack
+    sees the patch-wise feature maps, which are window // 8 wide) or that the
+    patch-wise stack's three stride-2 stages do not divide."""
     from .geometry import GeometryError, output_size
     from .model import canonical_imagewise_spec, canonical_patchwise_spec
 
@@ -298,6 +304,9 @@ def _check_window(window: int) -> None:
         except GeometryError as e:
             raise GeometryError(f"window {window} is too small for the {name} "
                                 f"stack: {e}") from None
+    if window % 8:
+        raise GeometryError(f"window {window} must be a multiple of 8 "
+                            f"(three stride-2 stages)")
 
 
 def _effective_window(cfg: dict, explicit: set[str], meta: dict) -> int:

@@ -1,13 +1,17 @@
 """Forward and backward implementations of every layer primitive.
 
 All functions take `Tensor` arguments, compute in float32 and, when a `Tape`
-is supplied, record a backward rule on it.  Convolution uses an
-im2col/matmul formulation; its correctness is pinned against a naive
-direct-summation oracle in the test suite.
+is supplied, record a backward rule on it.  Convolution is lowered onto
+GEMMs in one of three ways chosen from the layer's shape (shifted slices of
+the padded input for stride-1 convs, a reshape for non-overlapping windows,
+an im2col patch matrix otherwise; see the convolution section); its
+correctness is pinned against a naive direct-summation oracle in the test
+suite.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +39,51 @@ def _check_mode(mode: str) -> None:
 
 # ---------------------------------------------------------------------------
 # convolution
+#
+# Three lowerings onto GEMM, picked by _lowering from the layer's shape alone:
+#
+# - "shifted" (stride 1, padding < kernel, and enough input channels, see
+#   _lowering): each sample's zero-padded input is flattened row-major with
+#   one spare row at the end.  Under kernel offset (i, j) the output, laid
+#   out H2 rows of Wp columns, is a contiguous slice of that buffer starting
+#   at i*Wp + j, so the conv is kh*kw accumulated GEMMs over slices; the
+#   kw-1 columns per row that wrap into the next row are dropped.  No patch
+#   matrix is built (Anderson et al. 2017, arXiv 1709.03395).
+# - "blocks" (stride == kernel, padding 0, e.g. the 2x2/s2 downsamplers and
+#   the 1x1 heads): the windows tile the input, so the patch matrix is one
+#   reshape/transpose copy of it, no larger than it (a view for 1x1), and
+#   the backward writes each input pixel's gradient once instead of
+#   scatter-adding it.
+# - "im2col" (everything else, including few-channel inputs on small maps,
+#   where one GEMM beats kh*kw thin ones): the strided patch matrix.
+#
+# Samples are processed in a fixed order and every sample's arithmetic is the
+# same whatever batch it rides in, so a sample's output is bit-identical
+# alone and in any batch.
+
+# Crossovers of the shifted lowering against im2col, measured single-threaded
+# (see CHANGES.md): from 4 input channels it wins forward plus backward at
+# batch 32 (ties on 4x4 maps); with 3 it wins only once the output map
+# reaches 256x256 and the im2col matrix outgrows the cache; with 1 or 2 it
+# loses at every size tried.
+_SHIFT_MIN_CIN = 4
+_SHIFT_MIN_AREA_3CH = 256 * 256
+# Bytes of accumulators and input rows per chunk of the shifted lowering
+# (see _Shifted), measured best of 256 KiB, 512 KiB and 1 MiB.
+_SHIFT_CHUNK_BYTES = 1 << 19
+
+
+def _lowering(cin: int, kh: int, kw: int, stride: int, padding: int, area: int) -> str:
+    """Lowering of a conv with `cin` input channels and an output map of
+    `area` pixels; the batch size never enters, so a sample takes the same
+    path alone and in a batch."""
+    if stride == kh == kw and padding == 0:
+        return "blocks"
+    if (stride == 1 and padding < min(kh, kw)
+            and (cin >= _SHIFT_MIN_CIN or (cin == 3 and area >= _SHIFT_MIN_AREA_3CH))):
+        return "shifted"
+    return "im2col"
+
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """(N, C, Hp, Wp) -> (N, C*kh*kw, L) patch matrix, L = H2*W2."""
@@ -65,12 +114,127 @@ def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int
     return out
 
 
+def _unblocks(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int,
+              kw: int) -> np.ndarray:
+    """_col2im for non-overlapping windows (stride == kernel, padding 0):
+    (N, C*kh*kw, H2*W2) -> (N, C, H, W), zeros where no window reaches.  It
+    writes each reached pixel once, so it needs no add, and no zero fill
+    unless a remainder row or column exists."""
+    n, c, h, wd = shape
+    h2, w2 = h // kh, wd // kw
+    out = (np.empty if (h2 * kh, w2 * kw) == (h, wd) else np.zeros)(shape, dtype=np.float32)
+    g6 = cols.reshape(n, c, kh, kw, h2, w2)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:h2 * kh:kh, j:w2 * kw:kw] = g6[:, :, i, j]
+    return out
+
+
+class _Shifted:
+    """Geometry of the shifted lowering.  The input (N, C, H, W) is padded by
+    (ph, pw) and flattened, one spare row at the end, to (C, (Hp+1)*Wp) per
+    sample; the output of a kh x kw kernel is computed H2 rows of Wp columns
+    wide, the last kw-1 columns of each row being garbage.  Work goes in
+    chunks of `group` samples by `rows` output rows holding about
+    _SHIFT_CHUNK_BYTES: small maps batch samples to amortize call overhead,
+    large maps split rows to stay in cache."""
+
+    def __init__(self, shape: tuple[int, ...], kh: int, kw: int, ph: int, pw: int,
+                 out_ch: int):
+        self.n, self.c, self.h, self.w = shape
+        self.ph, self.pw = ph, pw
+        self.hp, self.wp = self.h + 2 * ph, self.w + 2 * pw
+        self.h2, self.w2 = self.hp - kh + 1, self.wp - kw + 1
+        row_bytes = 4 * self.wp * (2 * out_ch + self.c)    # two accumulators + input
+        if row_bytes * self.h2 <= _SHIFT_CHUNK_BYTES:
+            self.group = min(self.n, _SHIFT_CHUNK_BYTES // (row_bytes * self.h2))
+            self.rows = self.h2
+        else:
+            self.group = 1
+            self.rows = max(1, _SHIFT_CHUNK_BYTES // row_bytes)
+
+    def chunks(self, x: np.ndarray):
+        """Yield (lo, hi, r0, r1, flat): output rows r0..r1-1 of samples
+        lo..hi-1, whose inputs sit zero-padded in the reused buffer flat."""
+        xp = np.zeros((self.group, self.c, self.hp + 1, self.wp), dtype=np.float32)
+        flat = xp.reshape(self.group, self.c, -1)
+        for lo in range(0, self.n, self.group):
+            hi = min(self.n, lo + self.group)
+            xp[:hi - lo, :, self.ph:self.ph + self.h, self.pw:self.pw + self.w] = x[lo:hi]
+            for r0 in range(0, self.h2, self.rows):
+                yield lo, hi, r0, min(self.h2, r0 + self.rows), flat[:hi - lo]
+
+    def window(self, flat: np.ndarray, i: int, j: int, r0: int, r1: int) -> np.ndarray:
+        """The slice of flat under kernel offset (i, j) for output rows r0..r1-1."""
+        start = i * self.wp + j
+        return flat[:, :, start + r0 * self.wp:start + r1 * self.wp]
+
+    def buffer(self, ch: int) -> np.ndarray:
+        return np.empty(self.group * ch * self.rows * self.wp, dtype=np.float32)
+
+
+def _prefix(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A contiguous view of the first prod(shape) elements of a flat buffer."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _shifted_conv(x: np.ndarray, w: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Stride-1 cross-correlation of x (N, C, H, W) with w (O, C, kh, kw) at
+    zero padding (ph, pw), without bias: kh*kw accumulated GEMMs."""
+    o, _, kh, kw = w.shape
+    g = _Shifted(x.shape, kh, kw, ph, pw, o)
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))     # (kh, kw, O, C)
+    acc, term = g.buffer(o), g.buffer(o)
+    out = np.empty((g.n, o, g.h2, g.w2), dtype=np.float32)
+    for lo, hi, r0, r1, flat in g.chunks(x):
+        shape = (hi - lo, o, (r1 - r0) * g.wp)
+        a, t = _prefix(acc, shape), _prefix(term, shape)
+        np.matmul(wt[0, 0], g.window(flat, 0, 0, r0, r1), out=a)
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    np.matmul(wt[i, j], g.window(flat, i, j, r0, r1), out=t)
+                    a += t
+        out[lo:hi, :, r0:r1] = a.reshape(hi - lo, o, r1 - r0, g.wp)[:, :, :, :g.w2]
+    return out
+
+
+def _shifted_grad_w(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
+                    padding: int) -> np.ndarray:
+    """Weight gradient (O, C, kh, kw) of the shifted lowering: per kernel
+    offset, gout (zero in the garbage columns) times the shifted slice."""
+    o = gout.shape[1]
+    g = _Shifted(x.shape, kh, kw, padding, padding, o)
+    gw = np.zeros((kh, kw, o, g.c), dtype=np.float32)
+    gwide = np.zeros((g.n, o, g.h2, g.wp), dtype=np.float32)
+    gwide[:, :, :, :g.w2] = gout
+    gflat = gwide.reshape(g.n, o, -1)
+    for lo, hi, r0, r1, flat in g.chunks(x):
+        go = gflat[lo:hi, :, r0 * g.wp:r1 * g.wp]
+        for i in range(kh):
+            for j in range(kw):
+                part = np.matmul(go, g.window(flat, i, j, r0, r1).transpose(0, 2, 1))
+                gw[i, j] += part.sum(axis=0)
+    return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
            tape: Tape | None = None) -> Tensor:
     """2D cross-correlation (no kernel flip) with zero padding.
 
     x: (N, Cin, H, W), w: (Cout, Cin, kh, kw), b: (Cout,).
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1.
+
+    The GEMM lowering depends only on the per-sample shape (see _lowering):
+    stride 1 with padding < kernel and Cin >= 4 (3 on output maps of at
+    least 256x256) accumulates kh*kw GEMMs over shifted slices of the
+    padded input; stride == kernel with padding 0 reshapes the input into
+    its non-overlapping windows; any other shape builds the im2col patch
+    matrix.  The input gradient is the conv of the output gradient with the
+    flipped, transposed kernel, lowered by the same rule on Cout (for the
+    shifted lowering at padding kernel-1-padding).  A taped shifted conv
+    keeps only x for the backward pass; the other two keep their patch
+    matrix, which for non-overlapping windows is no larger than x.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.shape} and {w.shape}")
@@ -90,32 +254,47 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
         raise ValueError(
             f"conv2d kernel {kh}x{kw} larger than padded input {hp}x{wp}"
         )
-    if padding > 0:
-        xp = np.zeros((n, cin, hp, wp), dtype=np.float32)
-        xp[:, :, padding:padding + h, padding:padding + wd] = x.data
-    else:
-        xp = x.data
     h2 = (hp - kh) // stride + 1
     w2 = (wp - kw) // stride + 1
+    lowering = _lowering(cin, kh, kw, stride, padding, h2 * w2)
 
-    cols = _im2col(xp, kh, kw, stride)                      # (N, CKK, L)
-    wmat = w.data.reshape(cout, -1)                         # (Cout, CKK)
-    y = np.matmul(wmat, cols)                               # (N, Cout, L)
-    y += b.data[:, None]
-    out = Tensor(y.reshape(n, cout, h2, w2))
+    cols = None
+    if lowering == "shifted":
+        y = _shifted_conv(x.data, w.data, padding, padding)
+        y += b.data[:, None, None]
+    else:
+        if padding > 0:
+            xp = np.zeros((n, cin, hp, wp), dtype=np.float32)
+            xp[:, :, padding:padding + h, padding:padding + wd] = x.data
+        else:
+            xp = x.data
+        cols = _im2col(xp, kh, kw, stride)                  # (N, CKK, L)
+        y = np.matmul(w.data.reshape(cout, -1), cols)       # (N, Cout, L)
+        y += b.data[:, None]
+        y = y.reshape(n, cout, h2, w2)
+    out = Tensor(y)
 
     if tape is not None:
+        dx_lowering = _lowering(cout, kh, kw, stride, padding, h * wd)
+
         def backward(gout: np.ndarray):
-            go = gout.reshape(n, cout, h2 * w2)
             gb = gout.sum(axis=(0, 2, 3))
-            gw = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-            gcols = np.matmul(wmat.T, go)                   # (N, CKK, L)
-            gxp = _col2im(gcols, (n, cin, hp, wp), kh, kw, stride)
-            if padding > 0:
+            go = gout.reshape(n, cout, h2 * w2)
+            if lowering == "shifted":
+                gw = _shifted_grad_w(x.data, gout, kh, kw, padding)
+            else:
+                gw = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+            if dx_lowering == "shifted":
+                flipped = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+                gx = _shifted_conv(gout, flipped, kh - 1 - padding, kw - 1 - padding)
+                return gx, gw, gb
+            gcols = np.matmul(w.data.reshape(cout, -1).T, go)  # (N, CKK, L)
+            if dx_lowering == "blocks":
+                gx = _unblocks(gcols, x.shape, kh, kw)
+            else:
+                gxp = _col2im(gcols, (n, cin, hp, wp), kh, kw, stride)
                 gx = np.ascontiguousarray(
                     gxp[:, :, padding:padding + h, padding:padding + wd])
-            else:
-                gx = gxp
             return gx, gw, gb
 
         tape.record((x, w, b), out, backward)

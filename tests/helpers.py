@@ -57,6 +57,12 @@ def gradcheck_cases() -> list[tuple[str, callable, list[tuple[int, ...]]]]:
     def conv_s1p0(x, w, b, tape=None):
         return ops.conv2d(x, w, b, stride=1, padding=0, tape=tape)
 
+    def conv_s1p1(x, w, b, tape=None):
+        return ops.conv2d(x, w, b, stride=1, padding=1, tape=tape)
+
+    def conv_s2p0(x, w, b, tape=None):
+        return ops.conv2d(x, w, b, stride=2, padding=0, tape=tape)
+
     def bn_train(x, g, b, tape=None):
         return ops.batchnorm2d(x, g, b, Tensor(np.zeros(3, np.float32)),
                                Tensor(np.ones(3, np.float32)), "train", tape=tape)
@@ -77,6 +83,15 @@ def gradcheck_cases() -> list[tuple[str, callable, list[tuple[int, ...]]]]:
     return [
         ("conv2d stride 2 pad 1", conv_s2p1, [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
         ("conv2d stride 1 pad 0", conv_s1p0, [(2, 3, 5, 5), (4, 3, 3, 3), (4,)]),
+        # the GEMM lowerings of ops.conv2d: the case above has an im2col
+        # forward (3 input channels) and a shifted input gradient (4 output
+        # channels); below, shifted both ways, a shifted forward with an
+        # im2col input gradient, non-overlapping windows with a remainder
+        # row and column, and a 1x1 conv
+        ("conv2d shifted stride 1 pad 1", conv_s1p1, [(2, 4, 5, 6), (5, 4, 3, 3), (5,)]),
+        ("conv2d shifted, im2col dx", conv_s1p1, [(2, 4, 5, 6), (2, 4, 3, 3), (2,)]),
+        ("conv2d blocks 2x2 stride 2", conv_s2p0, [(2, 3, 5, 7), (4, 3, 2, 2), (4,)]),
+        ("conv2d blocks 1x1", conv_s1p0, [(2, 3, 4, 5), (4, 3, 1, 1), (4,)]),
         ("linear", lambda x, w, b, tape=None: ops.linear(x, w, b, tape=tape),
          [(5, 7), (3, 7), (3,)]),
         ("batchnorm train", bn_train, [(4, 3, 5, 5), (3,), (3,)]),

@@ -163,26 +163,46 @@ class TestTrainCommands:
         assert len(errors) == 1 and errors[0].startswith("error: training diverged at epoch")
         assert not out.exists() or list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command, needs", [
+    # the commands that check the window, with the other inputs each needs
+    WINDOW_COMMANDS = [
         ("train-patch", {"--out": "run"}),
         ("train-image", {"--out": "run", "--patch-checkpoint": "patch_ckpt"}),
         ("infer", {"--patch-checkpoint": "patch_ckpt", "--image-checkpoint": "image_ckpt",
                    "--image": "missing.ppm"}),
         ("eval", {"--patch-checkpoint": "patch_ckpt", "--image-checkpoint": "image_ckpt"}),
-    ])
+    ]
+
+    @staticmethod
+    def _run_with_window(run_cli, artifacts, tmp_path, command, needs, window):
+        args = []
+        for flag, name in needs.items():
+            args += [flag, artifacts.get(name, tmp_path / name)]
+        return run_cli(command, "--manifest", artifacts["manifest"],
+                       "--window", window, "--stride", "16", *args, expect=2)
+
+    @pytest.mark.parametrize("command, needs", WINDOW_COMMANDS)
     def test_window_too_small_for_stacks_exits_2(self, run_cli, tiny_cli_artifacts,
                                                  tmp_path, command, needs):
         # window 16 passes the patch-wise stack but leaves the image-wise one
         # a 2x2 map, which its second stride-2 conv collapses; the check runs
         # before any image is read (a missing image would otherwise exit 3)
-        args = []
-        for flag, name in needs.items():
-            args += [flag, tiny_cli_artifacts.get(name, tmp_path / name)]
-        proc = run_cli(command, "--manifest", tiny_cli_artifacts["manifest"],
-                       "--window", "16", "--stride", "16", *args, expect=2)
+        proc = self._run_with_window(run_cli, tiny_cli_artifacts, tmp_path,
+                                     command, needs, "16")
         assert proc.stderr.splitlines() == [
             "error: window 16 is too small for the image-wise stack: layer 5 "
             "(2x2 s2 p0) collapses the map to size 0"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, needs", WINDOW_COMMANDS)
+    def test_window_not_multiple_of_8_exits_2(self, run_cli, tiny_cli_artifacts,
+                                              tmp_path, command, needs):
+        # window 36 carries both stacks but not the patch-wise stack's three
+        # stride-2 stages; it is refused before any image is read or cropped
+        proc = self._run_with_window(run_cli, tiny_cli_artifacts, tmp_path,
+                                     command, needs, "36")
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: window 36 must be a multiple of 8 (three stride-2 stages)"]
         assert not (tmp_path / "run").exists()
 
     def test_smallest_window_both_stacks_carry_is_32(self):
@@ -316,6 +336,9 @@ class TestConfigHandling:
         ("seed", True, "an integer"), ("seed", [1], "an integer"),
         ("lr", None, "a number"), ("momentum", "0.9", "a number"),
         ("dropout", False, "a number"),
+        ("manifest", 5, "a string"), ("out", [], "a string"),
+        ("patch_checkpoint", 1.5, "a string"), ("image_checkpoint", {}, "a string"),
+        ("image", False, "a string"),
     ])
     def test_wrong_config_type_exits_2(self, run_cli, tmp_path, key, value, what):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,14 @@
 """Forward-pass contracts of every layer primitive, pinned against
 hand-computed values and a naive direct-summation convolution oracle."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from histopatch import ops
+from histopatch.autodiff import Tape
 from histopatch.tensor import Tensor, ones, zeros
 from histopatch.ops import (
     batchnorm2d,
@@ -114,6 +118,71 @@ class TestConv2d:
         want = naive_conv2d(x, w, b, stride, padding)
         assert got.shape == want.shape
         npt.assert_allclose(got.data, want, rtol=1e-5, atol=1e-5)
+
+    # (lowering, input shape, weight shape, stride, padding): shapes that pick
+    # each of conv2d's GEMM lowerings
+    LOWERING_CASES = [
+        ("shifted", (2, 6, 7, 9), (5, 6, 3, 3), 1, 1),
+        ("shifted", (2, 5, 8, 6), (3, 5, 3, 3), 1, 0),
+        ("shifted", (1, 3, 256, 256), (2, 3, 3, 3), 1, 1),
+        ("blocks", (2, 6, 5, 7), (4, 6, 1, 1), 1, 0),
+        ("blocks", (3, 4, 9, 7), (5, 4, 2, 2), 2, 0),
+        ("im2col", (2, 3, 7, 6), (4, 3, 3, 3), 1, 1),
+        ("im2col", (2, 6, 9, 9), (4, 6, 3, 3), 2, 1),
+    ]
+
+    @staticmethod
+    def _lowering_case(lowering, xshape, wshape, stride, padding, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, size=xshape).astype(np.float32)
+        w = rng.uniform(-1, 1, size=wshape).astype(np.float32)
+        b = rng.uniform(-1, 1, size=wshape[:1]).astype(np.float32)
+        h2 = (xshape[2] + 2 * padding - wshape[2]) // stride + 1
+        w2 = (xshape[3] + 2 * padding - wshape[3]) // stride + 1
+        assert ops._lowering(xshape[1], wshape[2], wshape[3], stride, padding,
+                             h2 * w2) == lowering
+        return x, w, b
+
+    @pytest.mark.parametrize("case", LOWERING_CASES,
+                             ids=[f"{c[0]}-{c[2]}-s{c[3]}p{c[4]}" for c in LOWERING_CASES])
+    def test_each_lowering_matches_naive_oracle(self, case):
+        x, w, b = self._lowering_case(*case)
+        _, _, _, stride, padding = case
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        want = naive_conv2d(x, w, b, stride, padding)
+        assert got.shape == want.shape
+        npt.assert_allclose(got.data, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("case", [
+        ("shifted", (7, 8, 12, 12), (8, 8, 3, 3), 1, 1),      # samples share a chunk
+        ("shifted", (3, 16, 128, 128), (16, 16, 3, 3), 1, 1),  # rows split into chunks
+        ("blocks", (5, 6, 8, 8), (12, 6, 2, 2), 2, 0),
+        ("im2col", (5, 3, 10, 10), (4, 3, 3, 3), 1, 1),
+    ], ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_sample_alone_equals_its_slice_of_the_batch(self, case):
+        x, w, b = self._lowering_case(*case)
+        _, _, _, stride, padding = case
+        batched = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        for k in range(x.shape[0]):
+            alone = conv2d(Tensor(x[k:k + 1]), Tensor(w), Tensor(b),
+                           stride=stride, padding=padding)
+            assert np.array_equal(alone.data[0], batched.data[k]), k
+
+    def test_taped_shifted_conv_keeps_no_patch_matrix(self):
+        # the backward pass works from x, which the caller keeps alive anyway;
+        # an im2col patch matrix on the tape would be ~9x the padded input
+        x, w, b = self._lowering_case("shifted", (4, 16, 64, 64), (16, 16, 3, 3), 1, 1)
+        x, w, b = Tensor(x), Tensor(w), Tensor(b)
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, b, stride=1, padding=1, tape=tape)
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert kept < x.data.nbytes, kept
 
 
 class TestBatchnorm2d:
