@@ -7,6 +7,10 @@ average pooling and a 4-way linear head.  The image-wise network consumes the
 channel-stacked feature maps of all tiled patches and classifies through three
 fully connected layers.  Channel widths beyond the doubling rule are free
 hyper-parameters (base width B, feature depth C, head depth D).
+
+Eval-mode forwards without a tape (feature caching, inference, validation)
+fold each conv block's batchnorm into its conv and apply the relu in place,
+so they make no batchnorm pass; see ``network_forward``.
 """
 
 from __future__ import annotations
@@ -324,6 +328,18 @@ def init_params(spec: NetworkSpec, seed: int) -> dict[str, Tensor]:
 # ---------------------------------------------------------------------------
 # forward passes
 
+def _fold_batchnorm(w: Tensor, b: Tensor, params: dict[str, Tensor],
+                    bn_prefix: str) -> tuple[Tensor, Tensor]:
+    """Conv weight and bias with the eval-mode batchnorm at ``bn_prefix``
+    folded in: w*s and (b - running_mean)*s + beta per output channel, where
+    s = gamma/sqrt(running_var + eps) (Jacob et al. 2018, arXiv 1712.05877).
+    Fresh tensors on every call; ``params`` is never written."""
+    gamma, beta = params[f"{bn_prefix}.gamma"].data, params[f"{bn_prefix}.beta"].data
+    mean, var = params[f"{bn_prefix}.running_mean"].data, params[f"{bn_prefix}.running_var"].data
+    s = gamma * (1.0 / np.sqrt(var + np.float32(ops.BATCHNORM_EPS)))
+    return Tensor(w.data * s[:, None, None, None]), Tensor((b.data - mean) * s + beta)
+
+
 def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mode: str,
                     tape: Tape | None = None, dropout_rng: DropoutRngFactory | None = None,
                     stop_after: int | None = None, with_softmax: bool = False) -> Tensor:
@@ -332,19 +348,38 @@ def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mod
     ``stop_after`` returns the output of that layer index (feature
     extraction).  The trailing softmax is skipped unless ``with_softmax`` —
     training reads raw logits.  Dropout is active only in train mode.
+
+    An eval-mode forward without a tape folds each batchnorm into the conv
+    in front of it (see ``_fold_batchnorm``): one ``ops.conv2d`` call per
+    conv block and no batchnorm pass.  It applies every relu in place on the
+    freshly allocated output of the layer before it.  Its outputs match the
+    unfolded ``ops.batchnorm2d``/``ops.relu`` path to float32 rounding, also
+    at a ``stop_after`` inside a block.  A taped forward never folds, so
+    gradients reach gamma and beta.
     """
+    fold = mode == "eval" and tape is None
+    folded = False  # whether the batchnorm at the next index is already applied
     cur = x
     for i, layer in enumerate(spec.layers):
         prefix = f"{i:02d}"
         if layer.kind == "conv":
-            cur = ops.conv2d(cur, params[f"{prefix}.weight"], params[f"{prefix}.bias"],
-                             stride=layer.stride, padding=layer.padding, tape=tape)
+            w, b = params[f"{prefix}.weight"], params[f"{prefix}.bias"]
+            folded = (fold and stop_after != i and i + 1 < len(spec.layers)
+                      and spec.layers[i + 1].kind == "batchnorm")
+            if folded:
+                w, b = _fold_batchnorm(w, b, params, f"{i + 1:02d}")
+            cur = ops.conv2d(cur, w, b, stride=layer.stride, padding=layer.padding, tape=tape)
         elif layer.kind == "batchnorm":
-            cur = ops.batchnorm2d(cur, params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
-                                  params[f"{prefix}.running_mean"],
-                                  params[f"{prefix}.running_var"], mode, tape=tape)
+            if not folded:
+                cur = ops.batchnorm2d(cur, params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
+                                      params[f"{prefix}.running_mean"],
+                                      params[f"{prefix}.running_var"], mode, tape=tape)
+            folded = False
         elif layer.kind == "relu":
-            cur = ops.relu(cur, tape=tape)
+            if fold and cur is not x:
+                np.maximum(cur.data, 0, out=cur.data)
+            else:
+                cur = ops.relu(cur, tape=tape)
         elif layer.kind == "dropout":
             if mode == "train" and layer.rate > 0:
                 if dropout_rng is None:

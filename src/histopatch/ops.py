@@ -304,9 +304,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 # ---------------------------------------------------------------------------
 # batch normalization
 
+# Added to the variance under the square root; model.network_forward folds
+# eval-mode batchnorm into the preceding conv with the same value.
+BATCHNORM_EPS = 1e-5
+
+
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                 running_var: Tensor, mode: str, momentum: float = 0.1,
-                eps: float = 1e-5, tape: Tape | None = None) -> Tensor:
+                eps: float = BATCHNORM_EPS, tape: Tape | None = None) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
     Train mode normalizes with batch statistics and updates the running
@@ -346,15 +351,16 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
             m = n * h * wd
 
             def backward(gout: np.ndarray):
+                # With k = gamma*invstd per channel, the sums of gout*gamma and
+                # of gout*gamma*xhat over (N, H, W) are gamma*gbeta and
+                # gamma*ggamma, so gx = k*gout - k*gbeta/m - xhat*k*ggamma/m.
                 ggamma = (gout * xhat).sum(axis=(0, 2, 3))
                 gbeta = gout.sum(axis=(0, 2, 3))
-                gxhat = gout * gamma.data[None, :, None, None]
-                sum_gxhat = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-                sum_gxhat_xhat = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                gx = (invstd[None, :, None, None] / m) * (
-                    m * gxhat - sum_gxhat - xhat * sum_gxhat_xhat
-                )
-                return gx.astype(np.float32, copy=False), ggamma, gbeta, None, None
+                k = gamma.data * invstd
+                gx = gout * k[None, :, None, None]
+                gx -= xhat * (k * ggamma / m)[None, :, None, None]
+                gx -= (k * gbeta / m)[None, :, None, None]
+                return gx, ggamma, gbeta, None, None
         else:
             def backward(gout: np.ndarray):
                 ggamma = (gout * xhat).sum(axis=(0, 2, 3))
@@ -373,7 +379,7 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
     out = Tensor(np.maximum(x.data, 0.0))
     if tape is not None:
-        mask = (x.data > 0.0).astype(np.float32)
+        mask = x.data > 0.0
 
         def backward(gout: np.ndarray):
             return (gout * mask,)

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from histopatch import ops
 from histopatch.model import (
     NetworkSpec,
     canonical_imagewise_spec,
@@ -196,6 +197,138 @@ class TestForwardShapes:
         a = network_forward(iw, params, x, "eval")
         b = network_forward(no_dropout, params, x, "eval")
         npt.assert_array_equal(a.data, b.data)
+
+
+def _perturbed_params(spec, seed):
+    """init_params with non-trivial biases, gammas, betas and running stats."""
+    params = init_params(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, t in params.items():
+        role = name.split(".")[1]
+        if role == "gamma":
+            t.data[:] = rng.uniform(0.5, 1.5, t.shape)
+        elif role == "running_var":
+            t.data[:] = rng.uniform(0.05, 3.0, t.shape)
+        elif role in ("bias", "beta", "running_mean"):
+            t.data[:] = rng.normal(0.0, 0.3, t.shape)
+    return params
+
+
+def _unfolded_eval(spec, params, x, stop_after=None):
+    """Eval forward layer by layer through ops.conv2d, ops.batchnorm2d and
+    ops.relu: the reference the folded network_forward is held to."""
+    cur = x
+    for i, layer in enumerate(spec.layers):
+        p = f"{i:02d}"
+        if layer.kind == "conv":
+            cur = ops.conv2d(cur, params[f"{p}.weight"], params[f"{p}.bias"],
+                             stride=layer.stride, padding=layer.padding)
+        elif layer.kind == "batchnorm":
+            cur = ops.batchnorm2d(cur, params[f"{p}.gamma"], params[f"{p}.beta"],
+                                  params[f"{p}.running_mean"], params[f"{p}.running_var"],
+                                  "eval")
+        elif layer.kind == "relu":
+            cur = ops.relu(cur)
+        elif layer.kind == "global_avg_pool":
+            cur = ops.global_avg_pool(cur)
+        elif layer.kind == "linear":
+            cur = ops.linear(cur, params[f"{p}.weight"], params[f"{p}.bias"])
+        if i == stop_after:
+            break
+    return cur.data
+
+
+# the folded path differs from the unfolded one by float32 rounding only;
+# the largest gap measured was 7.7e-7 of max|ref|
+FOLD_RTOL = 1e-5
+
+
+def _fold_cases():
+    pw = canonical_patchwise_spec(base_width=4, feature_depth=3)
+    iw = canonical_imagewise_spec(n_patches=2, feature_depth=3, head_depth=8)
+    rng = np.random.default_rng(31)
+    return [
+        ("patchwise", pw, _perturbed_params(pw, seed=5),
+         Tensor(rng.normal(size=(2, 3, 32, 32)).astype(np.float32))),
+        ("imagewise", iw, _perturbed_params(iw, seed=6),
+         Tensor(rng.uniform(0, 2, size=(2, 6, 8, 8)).astype(np.float32))),
+    ]
+
+
+FOLD_CASES = _fold_cases()
+
+
+class TestEvalFold:
+    """An eval forward without a tape folds each batchnorm into its conv and
+    applies relu in place."""
+
+    @staticmethod
+    def _assert_close(got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= FOLD_RTOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: c[0])
+    def test_matches_unfolded_ops(self, case):
+        _, spec, params, x = case
+        self._assert_close(network_forward(spec, params, x, "eval").data,
+                           _unfolded_eval(spec, params, x))
+
+    @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: c[0])
+    def test_stop_inside_a_block_matches_unfolded_ops(self, case):
+        _, spec, params, x = case
+        kinds = [l.kind for l in spec.layers]
+        block = len(kinds) - 1 - kinds[::-1].index("conv")   # the last conv block
+        assert kinds[block:block + 3] == ["conv", "batchnorm", "relu"]
+        for stop in (block, block + 1, block + 2):    # block + 2 is the patchwise feature cut
+            self._assert_close(
+                network_forward(spec, params, x, "eval", stop_after=stop).data,
+                _unfolded_eval(spec, params, x, stop_after=stop))
+
+    @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: c[0])
+    def test_parameters_and_input_untouched(self, case):
+        _, spec, params, x = case
+        before = {name: t.data.tobytes() for name, t in params.items()}
+        x_before = x.data.tobytes()
+        network_forward(spec, params, x, "eval", with_softmax=True)
+        network_forward(spec, params, x, "eval", stop_after=4)
+        assert {name: t.data.tobytes() for name, t in params.items()} == before
+        assert x.data.tobytes() == x_before
+
+    @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: c[0])
+    def test_op_calls_eval_and_train(self, case, monkeypatch):
+        _, spec, params, x = case
+        calls = {"conv2d": 0, "batchnorm2d": 0, "relu": 0}
+
+        def counted(name):
+            original = getattr(ops, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ops, name, counted(name))
+        n_conv = sum(l.kind == "conv" for l in spec.layers)
+        n_relu = sum(l.kind == "relu" for l in spec.layers)
+
+        network_forward(spec, params, x, "eval", with_softmax=True)
+        assert calls == {"conv2d": n_conv, "batchnorm2d": 0, "relu": 0}
+
+        calls.update(conv2d=0)
+        train_params = {name: t.copy() for name, t in params.items()}
+        network_forward(spec, train_params, x, "train",
+                        dropout_rng=lambda i: np.random.default_rng(i))
+        assert calls == {"conv2d": n_conv, "batchnorm2d": n_conv, "relu": n_relu}
+
+    def test_tile_alone_equals_its_slice_of_the_batch(self):
+        spec = canonical_patchwise_spec(base_width=4, feature_depth=3)
+        params = _perturbed_params(spec, seed=8)
+        tiles = np.random.default_rng(32).normal(size=(3, 3, 32, 32)).astype(np.float32)
+        batched = extract_features(spec, params, Tensor(tiles)).data
+        for k in range(3):
+            alone = extract_features(spec, params, Tensor(tiles[k:k + 1])).data
+            assert alone[0].tobytes() == batched[k].tobytes(), k
 
 
 class TestFeatureStacking:

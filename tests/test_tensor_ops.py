@@ -265,6 +265,24 @@ class TestRelu:
         out = relu(Tensor(np.full((2, 3), -4.0, dtype=np.float32)))
         npt.assert_array_equal(out.data, np.zeros((2, 3), dtype=np.float32))
 
+    def test_taped_gradient_is_gout_times_float_mask(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
+        x.flat[:4] = [0.0, -0.0, 1.0, -1.0]
+        gout = rng.normal(size=x.shape).astype(np.float32)
+        gout.flat[:4] = [1.5, -2.0, -0.0, -0.0]  # signed zeros must survive too
+        rules = []
+
+        class Keep(Tape):
+            def record(self, inputs, output, backward):
+                rules.append(backward)
+
+        relu(Tensor(x), tape=Keep())
+        (got,) = rules[0](gout)
+        want = gout * (x > 0).astype(np.float32)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
 
 class TestLinear:
     def test_identity_weight(self):
