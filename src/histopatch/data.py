@@ -190,10 +190,13 @@ def write_ppm(path: str | Path, image: Tensor) -> None:
 def _validate_records(records: list[ManifestRecord]) -> None:
     seen = set()
     for r in records:
+        if not isinstance(r.path, str):
+            raise ManifestError(f"path {r.path!r} is not a string")
         if r.path in seen:
             raise ManifestError(f"duplicate path {r.path!r}")
         seen.add(r.path)
-        if not isinstance(r.label, int) or not 0 <= r.label < N_CLASSES:
+        if (isinstance(r.label, bool) or not isinstance(r.label, int)
+                or not 0 <= r.label < N_CLASSES):
             raise ManifestError(f"label {r.label!r} for {r.path!r} not in 0..{N_CLASSES - 1}")
         if r.split not in ("train", "val"):
             raise ManifestError(f"split {r.split!r} for {r.path!r} not train/val")

@@ -389,7 +389,8 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Affine map: (N, F) @ (G, F)^T + (G,) -> (N, G)."""
+    """Affine map: (N, F) @ (G, F)^T + (G,) -> (N, G), one vector-matrix
+    product per row, so a row gives the same bits alone and in any batch."""
     if x.ndim != 2 or w.ndim != 2:
         raise ValueError(f"linear expects 2-d input and weight, got {x.shape} and {w.shape}")
     n, f = x.shape
@@ -401,7 +402,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         )
     if b.shape != (g,):
         raise ValueError(f"linear bias shape {b.shape} != ({g},)")
-    out = Tensor(x.data @ w.data.T + b.data)
+    out = Tensor(np.matmul(x.data[:, None, :], w.data.T)[:, 0] + b.data)
 
     if tape is not None:
         def backward(gout: np.ndarray):

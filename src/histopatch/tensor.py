@@ -57,12 +57,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def dump(self) -> str:
-        """Debug dump: shape line, then row-major values at 9 significant digits."""
-        lines = [" ".join(str(e) for e in self.data.shape)]
-        lines.extend(format(float(v), ".9g") for v in self.data.reshape(-1))
-        return "\n".join(lines) + "\n"
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -54,7 +54,9 @@ __all__ = [
     "evaluate_images",
 ]
 
-EVAL_BATCH = 64  # fixed so recorded and recomputed accuracies share shapes
+# Samples per eval forward.  It bounds memory only: every layer gives a sample
+# the same bits alone and in any batch, so it never changes a prediction.
+EVAL_BATCH = 64
 
 Logger = Callable[[str], None]
 EpochHook = Callable[[int, dict[str, Tensor]], None]
@@ -174,10 +176,10 @@ def early_stop(history: list[float], patience: int) -> tuple[bool, int]:
 
 
 def confusion_matrix(true_labels: np.ndarray, pred_labels: np.ndarray) -> np.ndarray:
-    m = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for t, p in zip(true_labels, pred_labels):
-        m[int(t), int(p)] += 1
-    return m
+    """Counts of (true, predicted) class pairs: rows true, columns predicted."""
+    t = np.asarray(true_labels, dtype=np.int64)
+    p = np.asarray(pred_labels, dtype=np.int64)
+    return np.bincount(N_CLASSES * t + p, minlength=N_CLASSES ** 2).reshape(N_CLASSES, N_CLASSES)
 
 
 def metrics_from_confusion(m: np.ndarray) -> tuple[float, list[float], list[float]]:
@@ -344,17 +346,24 @@ class _PatchIndex:
         return batch
 
 
+def _eval_confusion(labels: np.ndarray, gather: Callable[[np.ndarray], np.ndarray],
+                    forward: Callable[[Tensor], Tensor]) -> np.ndarray:
+    """Confusion of argmax(forward(gather(idxs))) (lowest class on ties) over
+    every sample, EVAL_BATCH samples per forward."""
+    preds = np.empty(len(labels), dtype=np.int64)
+    for start in range(0, len(labels), EVAL_BATCH):
+        idxs = np.arange(start, min(start + EVAL_BATCH, len(labels)))
+        preds[idxs] = np.argmax(forward(Tensor(gather(idxs))).data, axis=1)
+    return confusion_matrix(labels, preds)
+
+
 def evaluate_patches(spec: NetworkSpec, params: dict[str, Tensor],
                      images: list[LabeledImage], window: int,
                      stride: int) -> np.ndarray:
     """Patch-level confusion matrix (rows true, cols predicted), eval mode."""
     index = _PatchIndex(images, window, stride)
-    preds = np.empty(len(index), dtype=np.int64)
-    for start in range(0, len(index), EVAL_BATCH):
-        idxs = np.arange(start, min(start + EVAL_BATCH, len(index)))
-        logits = patchwise_logits(spec, params, Tensor(index.gather(idxs)), "eval")
-        preds[idxs] = np.argmax(logits.data, axis=1)
-    return confusion_matrix(index.labels, preds)
+    return _eval_confusion(index.labels, index.gather,
+                           lambda batch: patchwise_logits(spec, params, batch, "eval"))
 
 
 def evaluate_images(pw_spec: NetworkSpec, pw_params: dict[str, Tensor],
@@ -363,12 +372,10 @@ def evaluate_images(pw_spec: NetworkSpec, pw_params: dict[str, Tensor],
     """Image-level confusion matrix via the full two-stage inference path."""
     if not images:
         raise ValueError("no images to evaluate")
-    m = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for img in images:
-        cls, _ = infer_image(pw_spec, pw_params, iw_spec, iw_params,
-                             img.pixels, window)
-        m[img.label, cls] += 1
-    return m
+    return confusion_matrix(
+        [img.label for img in images],
+        [infer_image(pw_spec, pw_params, iw_spec, iw_params, img.pixels, window)[0]
+         for img in images])
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +408,6 @@ def train_patchwise(manifest: Manifest, config: TrainConfig,
 # ---------------------------------------------------------------------------
 # stage two
 
-def _stack_confusion(iw_spec: NetworkSpec, iw_params: dict[str, Tensor],
-                     stacks: list[Tensor], labels: list[int]) -> np.ndarray:
-    """Confusion over cached feature stacks, one image per forward pass (the
-    exact shapes the inference path uses)."""
-    m = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for stack, label in zip(stacks, labels):
-        probs = network_forward(iw_spec, iw_params, Tensor(stack.data[None]),
-                                "eval", with_softmax=True)
-        m[label, int(np.argmax(probs.data[0]))] += 1
-    return m
-
-
 def train_imagewise(manifest: Manifest, pw_spec: NetworkSpec,
                     pw_params: dict[str, Tensor], config: TrainConfig,
                     log: Logger | None = None,
@@ -442,14 +437,17 @@ def train_imagewise(manifest: Manifest, pw_spec: NetworkSpec,
                     for img in train_imgs]
     val_stacks = [image_feature_stack(pw_spec, pw_params, img.pixels, config.window)
                   for img in val_imgs]
-    val_labels = [img.label for img in val_imgs]
+    val_labels = np.asarray([img.label for img in val_imgs], dtype=np.int64)
 
+    # validation scores the softmax output, as infer_image does
     params, metrics = _fit(
         iw_spec, config,
         np.asarray([img.label for img in train_imgs], dtype=np.int64),
         lambda idxs: np.stack([train_stacks[i].data for i in idxs]),
         lambda params, batch, tape, rng: network_forward(
             iw_spec, params, batch, "train", tape=tape, dropout_rng=rng),
-        lambda params: _stack_confusion(iw_spec, params, val_stacks, val_labels),
+        lambda params: _eval_confusion(
+            val_labels, lambda idxs: np.stack([val_stacks[i].data for i in idxs]),
+            lambda batch: network_forward(iw_spec, params, batch, "eval", with_softmax=True)),
         log, epoch_hook)
     return _result(iw_spec, config, manifest, params, metrics)

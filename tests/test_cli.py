@@ -113,6 +113,25 @@ class TestStatsCommand:
         assert reloaded.stats is not None
         assert list(reloaded.stats.mean) == doc["mean"]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("label", True, "error: label True for 'c0_001.ppm' not in 0..3"),
+        ("path", 5, "error: path 5 is not a string"),
+    ])
+    def test_wrong_field_type_exits_2(self, run_cli, tmp_path, field, value, message):
+        out = tmp_path / "ds"
+        run_cli("synth", "--out", out, "--n-per-class", "2",
+                "--image-w", "96", "--image-h", "64", "--seed", "1")
+        doc = json.loads((out / "manifest.json").read_text())
+        records = doc["records"] if isinstance(doc, dict) else doc
+        target = next(r for r in records if r["path"] == "c0_001.ppm")
+        target[field] = value
+        text = json.dumps(doc)
+        (out / "manifest.json").write_text(text)
+        proc = run_cli("stats", "--manifest", out / "manifest.json", expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [message]
+        assert (out / "manifest.json").read_text() == text
+
     def test_missing_manifest_file_exits_3(self, run_cli, tmp_path):
         run_cli("stats", "--manifest", tmp_path / "nope.json", expect=3)
 

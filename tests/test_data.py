@@ -157,6 +157,25 @@ class TestManifest:
         with pytest.raises(ManifestError, match="label"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("record, match", [
+        ({"path": "a.ppm", "label": True, "split": "train"}, "label True"),
+        ({"path": "a.ppm", "label": False, "split": "train"}, "label False"),
+        ({"path": "a.ppm", "label": 1.0, "split": "train"}, "label 1.0"),
+        ({"path": 5, "label": 0, "split": "train"}, "path 5 is not a string"),
+        ({"path": ["a.ppm"], "label": 0, "split": "train"}, "is not a string"),
+        ({"path": None, "label": 0, "split": "train"}, "path None is not a string"),
+    ], ids=["label-true", "label-false", "label-float", "path-int", "path-list",
+            "path-null"])
+    def test_wrong_field_type_rejected(self, tmp_path, record, match):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([record]))
+        with pytest.raises(ManifestError, match=match):
+            load_manifest(path)
+        with pytest.raises(ManifestError, match=match):
+            save_manifest(tmp_path / "out.json",
+                          Manifest(records=[ManifestRecord(**record)]))
+        assert not (tmp_path / "out.json").exists()
+
     def test_bad_split_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps([{"path": "a.ppm", "label": 0, "split": "test"}]))

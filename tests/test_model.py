@@ -329,6 +329,19 @@ class TestEvalFold:
         for k in range(3):
             alone = extract_features(spec, params, Tensor(tiles[k:k + 1])).data
             assert alone[0].tobytes() == batched[k].tobytes(), k
+        # the whole eval forward of both networks, logits and probabilities,
+        # alone, in a batch, and in a batch of another order
+        for name, spec, params, x in FOLD_CASES:
+            for with_softmax in (False, True):
+                def run(batch):
+                    return network_forward(spec, params, Tensor(batch), "eval",
+                                           with_softmax=with_softmax).data
+                batched = run(x.data)
+                flipped = run(x.data[::-1])[::-1]
+                for k in range(x.shape[0]):
+                    where = (name, with_softmax, k)
+                    assert run(x.data[k:k + 1])[0].tobytes() == batched[k].tobytes(), where
+                    assert flipped[k].tobytes() == batched[k].tobytes(), where
 
 
 class TestFeatureStacking:

@@ -54,20 +54,6 @@ class TestTensor:
         t.zero_grad()
         assert t.grad is None
 
-    def test_dump_format(self):
-        t = Tensor(np.array([[1.0, 0.5], [-2.25, 3.0]], dtype=np.float32))
-        text = t.dump()
-        lines = text.splitlines()
-        assert lines[0] == "2 2"
-        assert lines[1:] == ["1", "0.5", "-2.25", "3"]
-        assert text.endswith("\n")
-
-    def test_dump_nine_significant_digits(self):
-        v = np.float32(1.0 / 3.0)
-        t = Tensor(np.array([v], dtype=np.float32))
-        line = t.dump().splitlines()[1]
-        assert np.float32(line) == v
-
 
 class TestConv2d:
     def test_all_ones_3x3(self):
@@ -313,6 +299,17 @@ class TestLinear:
     def test_feature_mismatch_rejected(self):
         with pytest.raises(ValueError):
             linear(ones((2, 3)), ones((4, 5)), zeros((4,)))
+
+    @pytest.mark.parametrize("n, f, g", [(32, 64, 256), (32, 256, 128), (64, 8, 4)])
+    def test_row_alone_equals_its_slice_of_the_batch(self, n, f, g):
+        rng = np.random.default_rng(f)
+        x = rng.uniform(-1, 1, size=(n, f)).astype(np.float32)
+        w = Tensor(rng.uniform(-1, 1, size=(g, f)).astype(np.float32))
+        b = Tensor(rng.uniform(-1, 1, size=g).astype(np.float32))
+        batched = linear(Tensor(x), w, b)
+        for k in range(n):
+            alone = linear(Tensor(x[k:k + 1]), w, b)
+            assert np.array_equal(alone.data[0], batched.data[k]), k
 
 
 class TestDropout:

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from histopatch import trainer
 from histopatch.data import (
     LabeledImage,
     Manifest,
@@ -251,6 +252,16 @@ class TestTrainPatchwise:
         m = evaluate_patches(stage1.spec, stage1.params, val_imgs, 64, 32)
         acc, _, _ = metrics_from_confusion(m)
         assert acc == stage1.metrics.accuracy
+
+    def test_confusion_independent_of_eval_batch(self, stage1, tiny_manifest, monkeypatch):
+        # 48 val patches: ten batches with a remainder of 3, then one batch
+        val_imgs = load_images(tiny_manifest, "val", normalized=True)
+        confusions = []
+        for size in (5, 64):
+            monkeypatch.setattr(trainer, "EVAL_BATCH", size)
+            confusions.append(evaluate_patches(stage1.spec, stage1.params, val_imgs, 64, 32))
+        npt.assert_array_equal(confusions[0], confusions[1])
+        npt.assert_array_equal(confusions[1], np.asarray(stage1.metrics.confusion))
 
     def test_meta_fields_per_stage(self, stage1, stage2):
         shared = {"stage", "window", "feature_depth", "seed", "lr", "momentum",
