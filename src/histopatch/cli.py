@@ -309,12 +309,15 @@ def _check_window(window: int) -> None:
                             f"(three stride-2 stages)")
 
 
-def _effective_window(cfg: dict, explicit: set[str], meta: dict) -> int:
+def _tiling(cfg: dict, explicit: set[str], meta: dict) -> dict:
+    """``cfg`` with the tiling actually used, for the stage-two commands: the
+    patch checkpoint's window unless --window was given, tiled without
+    overlap, so the stride echoed is the window too."""
     window = cfg["window"]
     if "window" not in explicit:
         window = int(meta.get("window", window))
     _check_window(window)
-    return window
+    return {**cfg, "window": window, "stride": window}
 
 
 def cmd_train_image(cfg: dict, explicit: set[str], parser, command) -> dict:
@@ -333,13 +336,13 @@ def cmd_train_image(cfg: dict, explicit: set[str], parser, command) -> dict:
                 "patch-wise checkpoint was trained with; recompute stats or "
                 "retrain stage one"
             )
+    cfg = _tiling(cfg, explicit, pw_meta)
     tc = TrainConfig(
         stage="imagewise", seed=cfg["seed"], lr=cfg["lr"],
         momentum=cfg["momentum"], batch_size=cfg["batch_size"],
         max_epochs=cfg["epochs"] if cfg["epochs"] is not None else 30,
         patience=cfg["patience"], dropout_rate=cfg["dropout"],
-        window=_effective_window(cfg, explicit, pw_meta),
-        head_depth=cfg["head_depth"],
+        window=cfg["window"], head_depth=cfg["head_depth"],
     )
     result = train_imagewise(manifest, pw_spec, pw_params, tc, log=_log_line)
     ckpt, metrics = _write_artifacts(Path(cfg["out"]), "imagewise", result, cfg)
@@ -364,9 +367,9 @@ def cmd_infer(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .model import CLASS_NAMES, infer_image
 
     pw_spec, pw_params, pw_meta, iw_spec, iw_params, _, stats = _load_stage_pair(cfg)
-    window = _effective_window(cfg, explicit, pw_meta)
+    cfg = _tiling(cfg, explicit, pw_meta)
     pixels = normalize_pixels(read_ppm(cfg["image"]), stats)
-    cls, probs = infer_image(pw_spec, pw_params, iw_spec, iw_params, pixels, window)
+    cls, probs = infer_image(pw_spec, pw_params, iw_spec, iw_params, pixels, cfg["window"])
     return _payload(command, cfg, {
         "image": str(cfg["image"]),
         "class": cls,
@@ -381,7 +384,7 @@ def cmd_eval(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .trainer import evaluate_images, metrics_from_confusion
 
     pw_spec, pw_params, pw_meta, iw_spec, iw_params, _, stats = _load_stage_pair(cfg)
-    window = _effective_window(cfg, explicit, pw_meta)
+    cfg = _tiling(cfg, explicit, pw_meta)
     manifest = load_manifest(cfg["manifest"])
     images = load_images(manifest, cfg["split"])
     if not images:
@@ -389,7 +392,7 @@ def cmd_eval(cfg: dict, explicit: set[str], parser, command) -> dict:
     for img in images:
         img.pixels = normalize_pixels(img.pixels, stats)
     confusion = evaluate_images(pw_spec, pw_params, iw_spec, iw_params,
-                                images, window)
+                                images, cfg["window"])
     accuracy, precision, recall = metrics_from_confusion(confusion)
     return _payload(command, cfg, {
         "split": cfg["split"],

@@ -417,16 +417,15 @@ def split_manifest(records: Iterable[tuple[str, int]] | Iterable[ManifestRecord]
 def generate_dataset_dir(out_dir: str | Path, n_per_class: int, image_w: int,
                          image_h: int, seed: int,
                          val_fraction: float = 0.25) -> Manifest:
-    """Write a synthetic dataset (PPM files + manifest.json) to a directory."""
+    """Write a synthetic dataset (PPM files + manifest.json) to a directory.
+    The split is built before any image is written, so class sizes it
+    refuses leave the directory empty."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     images = synth_dataset(n_per_class, image_w, image_h, seed)
-    names = []
-    for img in images:
-        name = f"{img.source_id}.ppm"
+    names = [(f"{img.source_id}.ppm", img.label) for img in images]
+    manifest = replace(split_manifest(names, val_fraction, seed), root=out_dir)
+    for (name, _), img in zip(names, images):
         write_ppm(out_dir / name, img.pixels)
-        names.append((name, img.label))
-    manifest = split_manifest(names, val_fraction, seed)
-    manifest = replace(manifest, root=out_dir)
     save_manifest(out_dir / "manifest.json", manifest)
     return manifest

@@ -10,7 +10,9 @@ hyper-parameters (base width B, feature depth C, head depth D).
 
 Eval-mode forwards without a tape (feature caching, inference, validation)
 fold each conv block's batchnorm into its conv and apply the relu in place,
-so they make no batchnorm pass; see ``network_forward``.
+so they make no batchnorm pass; see ``network_forward``.  How many samples
+ride in one eval forward is set by an activation-byte budget alone; see
+``eval_batch_size``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "init_params",
     "trainable_names",
     "network_forward",
+    "eval_batch_size",
     "patchwise_logits",
     "extract_features",
     "stack_features",
@@ -47,6 +50,17 @@ __all__ = [
 CLASS_NAMES = ("normal tissue", "benign tissue", "in situ carcinoma", "invasive carcinoma")
 
 DropoutRngFactory = Callable[[int], np.random.Generator]
+
+# Bytes that the samples of one eval forward may hold in its widest array.
+# Measured with infer_image on one 2048x1536 image at window 512, B=C=16,
+# one thread: one 512^2 tile per forward (16 MiB conv outputs) peaked at
+# 125 MB RSS and spent 0.15 s per image in the kernel, two tiles (32 MiB)
+# 170 MB and 0.26 s, all 12 tiles 596 MB and 0.45 s.  glibc reuses freed
+# heap for arrays under 32 MiB but maps larger ones afresh and page-faults
+# them on every call, so the budget sits below one paper tile.  At desk
+# scale it changes nothing: 64x64 patches at B=8 (128 KiB) go 64 per
+# forward, and the 12 tiles of an image all at once.
+EVAL_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -399,6 +413,20 @@ def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mod
     return cur
 
 
+def eval_batch_size(spec: NetworkSpec, sample_shape: tuple[int, int, int]) -> int:
+    """Samples per eval forward of ``spec`` over (C, H, W) samples:
+    max(1, EVAL_BYTES // widest), where widest is the bytes of the largest
+    array one sample makes the forward hold, its input or a conv output.
+    Every layer gives a sample the same bits alone and in any batch, so
+    this sets memory only, never an output."""
+    c, h, w = sample_shape
+    geoms = spec.conv_geoms()
+    areas = [a * b for a, b in zip(output_size(geoms, h), output_size(geoms, w))]
+    widths = [l.out_ch for l in spec.layers if l.kind == "conv"]
+    widest = max([c * h * w] + [o * a for o, a in zip(widths, areas)])
+    return max(1, EVAL_BYTES // (widest * np.dtype(np.float32).itemsize))
+
+
 def _check_patch_input(spec: NetworkSpec, patches: Tensor) -> None:
     if spec.kind != "patchwise":
         raise ValueError(f"expected a patchwise spec, got {spec.kind!r}")
@@ -441,12 +469,16 @@ def stack_features(features: list[Tensor], expected_count: int | None = None) ->
 def image_feature_stack(pw_spec: NetworkSpec, pw_params: dict[str, Tensor],
                         image: Tensor, window: int) -> Tensor:
     """Tile a normalized (3, H, W) image with non-overlapping patches, extract
-    per-patch features in one eval batch, and stack them channel-wise."""
+    per-patch features ``eval_batch_size`` tiles per forward, and stack them
+    channel-wise in row-major tile order."""
     h, w = image.shape[-2:]
     grid = PatchGrid(image_w=w, image_h=h, window=window, stride=window)
-    batch = patch_windows(image.data, grid).reshape(grid.total, -1, window, window)
-    feats = extract_features(pw_spec, pw_params, Tensor(batch))
-    per_patch = [Tensor(f) for f in feats.data]
+    tiles = [tile for row in patch_windows(image.data, grid) for tile in row]
+    step = eval_batch_size(pw_spec, tiles[0].shape)
+    per_patch = []
+    for lo in range(0, len(tiles), step):
+        feats = extract_features(pw_spec, pw_params, Tensor(np.stack(tiles[lo:lo + step])))
+        per_patch += [Tensor(f) for f in feats.data]
     return stack_features(per_patch, expected_count=grid.total)
 
 

@@ -132,17 +132,19 @@ def _unblocks(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int,
 
 class _Shifted:
     """Geometry of the shifted lowering.  The input (N, C, H, W) is padded by
-    (ph, pw) and flattened, one spare row at the end, to (C, (Hp+1)*Wp) per
-    sample; the output of a kh x kw kernel is computed H2 rows of Wp columns
-    wide, the last kw-1 columns of each row being garbage.  Work goes in
-    chunks of `group` samples by `rows` output rows holding about
-    _SHIFT_CHUNK_BYTES: small maps batch samples to amortize call overhead,
-    large maps split rows to stay in cache."""
+    (ph, pw) and flattened row-major, one spare row at the end, so that the
+    output of a kh x kw kernel is computed H2 rows of Wp columns wide, the
+    last kw-1 columns of each row being garbage.  Work goes in chunks of
+    `group` samples by `rows` output rows holding about _SHIFT_CHUNK_BYTES:
+    small maps batch samples to amortize call overhead, large maps split
+    rows to stay in cache.  The reused padded buffer holds rows + kh padded
+    rows, those one chunk reads and the spare (all Hp+1 when rows are not
+    split), so a large map is never copied whole."""
 
     def __init__(self, shape: tuple[int, ...], kh: int, kw: int, ph: int, pw: int,
                  out_ch: int):
         self.n, self.c, self.h, self.w = shape
-        self.ph, self.pw = ph, pw
+        self.kh, self.ph, self.pw = kh, ph, pw
         self.hp, self.wp = self.h + 2 * ph, self.w + 2 * pw
         self.h2, self.w2 = self.hp - kh + 1, self.wp - kw + 1
         row_bytes = 4 * self.wp * (2 * out_ch + self.c)    # two accumulators + input
@@ -155,19 +157,26 @@ class _Shifted:
 
     def chunks(self, x: np.ndarray):
         """Yield (lo, hi, r0, r1, flat): output rows r0..r1-1 of samples
-        lo..hi-1, whose inputs sit zero-padded in the reused buffer flat."""
-        xp = np.zeros((self.group, self.c, self.hp + 1, self.wp), dtype=np.float32)
+        lo..hi-1, whose padded input rows from r0 on sit, zero-padded, in
+        the reused buffer flat."""
+        xp = np.zeros((self.group, self.c, self.rows + self.kh, self.wp), dtype=np.float32)
         flat = xp.reshape(self.group, self.c, -1)
+        cols = slice(self.pw, self.pw + self.w)
         for lo in range(0, self.n, self.group):
             hi = min(self.n, lo + self.group)
-            xp[:hi - lo, :, self.ph:self.ph + self.h, self.pw:self.pw + self.w] = x[lo:hi]
             for r0 in range(0, self.h2, self.rows):
+                top = r0 - self.ph                 # the input row at buffer row 0
+                a, b = max(0, top), min(self.h, top + xp.shape[2])
+                xp[:, :, :a - top] = 0
+                xp[:hi - lo, :, a - top:b - top, cols] = x[lo:hi, :, a:b]
+                xp[:, :, b - top:] = 0
                 yield lo, hi, r0, min(self.h2, r0 + self.rows), flat[:hi - lo]
 
     def window(self, flat: np.ndarray, i: int, j: int, r0: int, r1: int) -> np.ndarray:
-        """The slice of flat under kernel offset (i, j) for output rows r0..r1-1."""
+        """The slice of a chunk's flat under kernel offset (i, j) for output
+        rows r0..r1-1."""
         start = i * self.wp + j
-        return flat[:, :, start + r0 * self.wp:start + r1 * self.wp]
+        return flat[:, :, start:start + (r1 - r0) * self.wp]
 
     def buffer(self, ch: int) -> np.ndarray:
         return np.empty(self.group * ch * self.rows * self.wp, dtype=np.float32)

@@ -29,6 +29,7 @@ from .model import (
     NetworkSpec,
     canonical_imagewise_spec,
     canonical_patchwise_spec,
+    eval_batch_size,
     image_feature_stack,
     infer_image,
     init_params,
@@ -53,10 +54,6 @@ __all__ = [
     "evaluate_patches",
     "evaluate_images",
 ]
-
-# Samples per eval forward.  It bounds memory only: every layer gives a sample
-# the same bits alone and in any batch, so it never changes a prediction.
-EVAL_BATCH = 64
 
 Logger = Callable[[str], None]
 EpochHook = Callable[[int, dict[str, Tensor]], None]
@@ -347,12 +344,12 @@ class _PatchIndex:
 
 
 def _eval_confusion(labels: np.ndarray, gather: Callable[[np.ndarray], np.ndarray],
-                    forward: Callable[[Tensor], Tensor]) -> np.ndarray:
+                    forward: Callable[[Tensor], Tensor], step: int) -> np.ndarray:
     """Confusion of argmax(forward(gather(idxs))) (lowest class on ties) over
-    every sample, EVAL_BATCH samples per forward."""
+    every sample, ``step`` samples per forward (see ``eval_batch_size``)."""
     preds = np.empty(len(labels), dtype=np.int64)
-    for start in range(0, len(labels), EVAL_BATCH):
-        idxs = np.arange(start, min(start + EVAL_BATCH, len(labels)))
+    for start in range(0, len(labels), step):
+        idxs = np.arange(start, min(start + step, len(labels)))
         preds[idxs] = np.argmax(forward(Tensor(gather(idxs))).data, axis=1)
     return confusion_matrix(labels, preds)
 
@@ -363,7 +360,8 @@ def evaluate_patches(spec: NetworkSpec, params: dict[str, Tensor],
     """Patch-level confusion matrix (rows true, cols predicted), eval mode."""
     index = _PatchIndex(images, window, stride)
     return _eval_confusion(index.labels, index.gather,
-                           lambda batch: patchwise_logits(spec, params, batch, "eval"))
+                           lambda batch: patchwise_logits(spec, params, batch, "eval"),
+                           eval_batch_size(spec, (3, window, window)))
 
 
 def evaluate_images(pw_spec: NetworkSpec, pw_params: dict[str, Tensor],
@@ -448,6 +446,7 @@ def train_imagewise(manifest: Manifest, pw_spec: NetworkSpec,
             iw_spec, params, batch, "train", tape=tape, dropout_rng=rng),
         lambda params: _eval_confusion(
             val_labels, lambda idxs: np.stack([val_stacks[i].data for i in idxs]),
-            lambda batch: network_forward(iw_spec, params, batch, "eval", with_softmax=True)),
+            lambda batch: network_forward(iw_spec, params, batch, "eval", with_softmax=True),
+            eval_batch_size(iw_spec, val_stacks[0].shape)),
         log, epoch_hook)
     return _result(iw_spec, config, manifest, params, metrics)

@@ -77,11 +77,12 @@ def tiny_cli_artifacts(tmp_path_factory):
              "--window", "64", "--stride", "32", "--base-width", "4",
              "--feature-depth", "4", "--epochs", "4", "--batch-size", "16",
              "--seed", "9", "--threads", "1")
-    _run_cli("train-image", "--manifest", data / "manifest.json",
-             "--patch-checkpoint", run / "patchwise.ckpt", "--out", run,
-             "--epochs", "6", "--batch-size", "8", "--seed", "9",
-             "--threads", "1")
+    train_image = _run_cli("train-image", "--manifest", data / "manifest.json",
+                           "--patch-checkpoint", run / "patchwise.ckpt", "--out", run,
+                           "--epochs", "6", "--batch-size", "8", "--seed", "9",
+                           "--threads", "1")
     return {
+        "train_image_stdout": train_image.stdout,
         "data": data,
         "manifest": data / "manifest.json",
         "patch_ckpt": run / "patchwise.ckpt",

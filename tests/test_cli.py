@@ -94,6 +94,13 @@ class TestSynthCommand:
         proc = run_cli("synth", expect=2)
         assert "--out" in proc.stderr
 
+    def test_refused_split_writes_nothing(self, run_cli, tmp_path):
+        out = tmp_path / "ds"
+        proc = run_cli("synth", "--out", out, "--n-per-class", "1",
+                       "--image-w", "96", "--image-h", "64", "--seed", "1", expect=2)
+        assert proc.stderr.splitlines() == ["error: class 0 has 1 image(s), need at least 2"]
+        assert list(out.iterdir()) == []
+
     def test_unwritable_out_exits_3(self, run_cli, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -155,6 +162,20 @@ class TestTrainCommands:
         doc = json.loads(tiny_cli_artifacts["image_metrics"].read_text())
         assert np.asarray(doc["confusion"]).shape == (4, 4)
         assert 0.0 <= doc["accuracy"] <= 1.0
+
+    def test_stage_two_commands_echo_the_tiling_used(self, run_cli, tiny_cli_artifacts):
+        # without --window, train-image, infer and eval tile at the patch
+        # checkpoint's window 64 without overlap, and their config says so
+        a = tiny_cli_artifacts
+        ckpts = ["--patch-checkpoint", a["patch_ckpt"], "--image-checkpoint", a["image_ckpt"]]
+        docs = {
+            "train-image": json.loads(a["train_image_stdout"]),
+            "imagewise_metrics.json": json.loads(a["image_metrics"].read_text()),
+            "infer": out_json(run_cli("infer", *ckpts, "--image", a["data"] / "c0_000.ppm")),
+            "eval": out_json(run_cli("eval", *ckpts, "--manifest", a["manifest"])),
+        }
+        for name, doc in docs.items():
+            assert (doc["config"]["window"], doc["config"]["stride"]) == (64, 64), name
 
     def test_train_image_requires_patch_checkpoint(self, run_cli,
                                                    tiny_cli_artifacts, tmp_path):

@@ -1,15 +1,18 @@
 """Canonical network structure, deterministic initialization, forward-pass
 shapes, feature extraction and stacking."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from histopatch import ops
+from histopatch import model, ops
 from histopatch.model import (
     NetworkSpec,
     canonical_imagewise_spec,
     canonical_patchwise_spec,
+    eval_batch_size,
     extract_features,
     image_feature_stack,
     infer_image,
@@ -344,6 +347,20 @@ class TestEvalFold:
                     assert flipped[k].tobytes() == batched[k].tobytes(), where
 
 
+class TestEvalBatchSize:
+    def test_widest_array_sets_samples_per_forward(self):
+        pw8, pw16 = canonical_patchwise_spec(8, 8), canonical_patchwise_spec(16, 16)
+        # desk scale: conv 1's 8x64x64 output, 128 KiB, is the widest array
+        assert eval_batch_size(pw8, (3, 64, 64)) == 64
+        # each axis keeps its own size: 8x64x32 is 64 KiB
+        assert eval_batch_size(pw8, (3, 64, 32)) == 128
+        # paper scale: a 16x512x512 output is 16 MiB, over the whole budget
+        assert eval_batch_size(pw16, (3, 512, 512)) == 1
+        # stage two at desk scale: the 96x8x8 input stack, 24 KiB, is widest
+        iw = canonical_imagewise_spec(n_patches=12, feature_depth=8, head_depth=64)
+        assert eval_batch_size(iw, (96, 8, 8)) == (8 << 20) // (96 * 8 * 8 * 4)
+
+
 class TestFeatureStacking:
     def test_stack_order_matches_manual_concat(self):
         rng = np.random.default_rng(11)
@@ -357,18 +374,50 @@ class TestFeatureStacking:
         with pytest.raises(ValueError):
             stack_features(feats, expected_count=12)
 
-    def test_image_feature_stack_matches_per_patch_extraction(self):
+    def test_image_feature_stack_matches_per_patch_extraction(self, monkeypatch):
         spec = canonical_patchwise_spec(base_width=2, feature_depth=3)
         params = init_params(spec, seed=4)
         rng = np.random.default_rng(12)
         image = Tensor(rng.normal(size=(3, 32, 64)).astype(np.float32))
-        stack = image_feature_stack(spec, params, image, window=16)
-        # tile grid: 4 x 2 = 8 patches of 3 channels each, maps 2x2
-        assert stack.shape == (24, 2, 2)
-        # row-major: patch 1 is the crop at x=16, y=0
-        crop = Tensor(np.ascontiguousarray(image.data[None, :, 0:16, 16:32]))
-        single = extract_features(spec, params, crop)
-        npt.assert_allclose(stack.data[3:6], single.data[0], atol=1e-6)
+        # tile grid: 4 x 2 = 8 patches of 3 channels each, maps 2x2, in
+        # row-major order: patch k is the crop at x=16*(k%4), y=16*(k//4)
+        singles = [extract_features(spec, params, Tensor(np.ascontiguousarray(
+                       image.data[None, :, 16 * (k // 4):16 * (k // 4) + 16,
+                                  16 * (k % 4):16 * (k % 4) + 16]))).data[0]
+                   for k in range(8)]
+        sizes = []
+
+        def counted(spec, params, patches):
+            sizes.append(patches.shape[0])
+            return extract_features(spec, params, patches)
+
+        monkeypatch.setattr(model, "extract_features", counted)
+        widest = 3 * 16 * 16 * 4  # a tile's input; its conv outputs are 2x16x16 or less
+        for per_forward, expected in ((1, [1] * 8), (5, [5, 3]), (8, [8])):
+            monkeypatch.setattr(model, "EVAL_BYTES", per_forward * widest)
+            sizes.clear()
+            stack = image_feature_stack(spec, params, image, window=16)
+            assert sizes == expected
+            assert stack.shape == (24, 2, 2)
+            for k, single in enumerate(singles):
+                assert stack.data[3 * k:3 * k + 3].tobytes() == single.tobytes(), (per_forward, k)
+
+    def test_image_feature_stack_holds_one_tile_at_a_time(self, monkeypatch):
+        # B=C=16 at window 128: a tile's widest array is a 16x128x128 conv
+        # output, 1 MiB, so a 1 MiB budget runs the 12 tiles one per forward
+        spec = canonical_patchwise_spec(base_width=16, feature_depth=16)
+        params = init_params(spec, seed=0)
+        image = Tensor(np.random.default_rng(14).normal(size=(3, 384, 512)).astype(np.float32))
+        widest = 16 * 128 * 128 * 4
+        monkeypatch.setattr(model, "EVAL_BYTES", widest)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            image_feature_stack(spec, params, image, window=128)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * widest, peak / widest
 
     def test_infer_image_output(self):
         pw = canonical_patchwise_spec(base_width=2, feature_depth=3)

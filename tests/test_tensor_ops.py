@@ -170,6 +170,20 @@ class TestConv2d:
         assert len(tape) == 1
         assert kept < x.data.nbytes, kept
 
+    def test_shifted_conv_on_a_large_map_pads_no_whole_copy(self):
+        # a 4 MiB map splits into chunks of output rows; the padded buffer
+        # holds only the rows one chunk reads, not a padded copy of x
+        x, w, b = self._lowering_case("shifted", (1, 16, 256, 256), (16, 16, 3, 3), 1, 1)
+        x, w, b = Tensor(x), Tensor(w), Tensor(b)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, b, stride=1, padding=1)
+            transient = tracemalloc.get_traced_memory()[1] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert transient < x.data.nbytes / 4, transient / x.data.nbytes
+
 
 class TestBatchnorm2d:
     def _stats(self, c):

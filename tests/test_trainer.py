@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from histopatch import trainer
+from histopatch import model, trainer
 from histopatch.data import (
     LabeledImage,
     Manifest,
@@ -20,6 +20,7 @@ from histopatch.data import (
     write_ppm,
 )
 from histopatch.geometry import PatchGrid, patch_coords
+from histopatch.model import patchwise_logits
 from histopatch.tensor import Tensor
 from histopatch.trainer import (
     TrainConfig,
@@ -254,14 +255,29 @@ class TestTrainPatchwise:
         assert acc == stage1.metrics.accuracy
 
     def test_confusion_independent_of_eval_batch(self, stage1, tiny_manifest, monkeypatch):
-        # 48 val patches: ten batches with a remainder of 3, then one batch
+        # 48 val patches of 64x64 at B=4, whose widest array is a 4x64x64 conv
+        # output: one per forward, 5 (nine forwards and a remainder of 3), all
         val_imgs = load_images(tiny_manifest, "val", normalized=True)
-        confusions = []
-        for size in (5, 64):
-            monkeypatch.setattr(trainer, "EVAL_BATCH", size)
-            confusions.append(evaluate_patches(stage1.spec, stage1.params, val_imgs, 64, 32))
-        npt.assert_array_equal(confusions[0], confusions[1])
-        npt.assert_array_equal(confusions[1], np.asarray(stage1.metrics.confusion))
+        widest = 4 * 64 * 64 * 4
+        sizes, logits = [], []
+
+        def recorded(spec, params, batch, mode):
+            out = patchwise_logits(spec, params, batch, mode)
+            sizes.append(batch.shape[0])
+            logits.append(out.data)
+            return out
+
+        monkeypatch.setattr(trainer, "patchwise_logits", recorded)
+        runs = []
+        for per_forward, expected in ((1, [1] * 48), (5, [5] * 9 + [3]), (48, [48])):
+            monkeypatch.setattr(model, "EVAL_BYTES", per_forward * widest)
+            sizes.clear()
+            logits.clear()
+            m = evaluate_patches(stage1.spec, stage1.params, val_imgs, 64, 32)
+            assert sizes == expected
+            npt.assert_array_equal(m, np.asarray(stage1.metrics.confusion))
+            runs.append(np.concatenate(logits).tobytes())
+        assert runs[0] == runs[1] == runs[2]
 
     def test_meta_fields_per_stage(self, stage1, stage2):
         shared = {"stage", "window", "feature_depth", "seed", "lr", "momentum",
