@@ -291,22 +291,11 @@ def _load_pw(cfg: dict):
 
 
 def _check_window(window: int) -> None:
-    """Refuse a window that collapses either conv stack (the image-wise stack
-    sees the patch-wise feature maps, which are window // 8 wide) or that the
-    patch-wise stack's three stride-2 stages do not divide."""
-    from .geometry import GeometryError, output_size
-    from .model import canonical_imagewise_spec, canonical_patchwise_spec
+    """``model.check_window``, imported late like every heavy module here;
+    run before any image is read."""
+    from .model import check_window
 
-    for name, spec, size in (("patch-wise", canonical_patchwise_spec(), window),
-                             ("image-wise", canonical_imagewise_spec(), window // 8)):
-        try:
-            output_size(spec.conv_geoms(), size)
-        except GeometryError as e:
-            raise GeometryError(f"window {window} is too small for the {name} "
-                                f"stack: {e}") from None
-    if window % 8:
-        raise GeometryError(f"window {window} must be a multiple of 8 "
-                            f"(three stride-2 stages)")
+    check_window(window)
 
 
 def _tiling(cfg: dict, explicit: set[str], meta: dict) -> dict:
@@ -350,15 +339,18 @@ def cmd_train_image(cfg: dict, explicit: set[str], parser, command) -> dict:
 
 
 def _load_stage_pair(cfg: dict):
-    from .checkpoint import load_checkpoint
-    from .data import NormStats
+    from .checkpoint import CheckpointError, load_checkpoint
+    from .data import ManifestError, NormStats
 
     pw_spec, pw_params, pw_meta = _load_pw(cfg)
-    iw_spec, iw_params, iw_meta = load_checkpoint(cfg["image_checkpoint"],
-                                                  expect_kind="imagewise")
-    stats = NormStats(mean=tuple(pw_meta["norm_mean"]),
-                      std=tuple(pw_meta["norm_std"]))
-    return pw_spec, pw_params, pw_meta, iw_spec, iw_params, iw_meta, stats
+    iw_spec, iw_params, _ = load_checkpoint(cfg["image_checkpoint"], expect_kind="imagewise")
+    try:
+        stats = NormStats.from_dict({"mean": pw_meta.get("norm_mean"),
+                                     "std": pw_meta.get("norm_std")})
+    except ManifestError as e:
+        raise CheckpointError(f"patch-wise checkpoint {cfg['patch_checkpoint']} holds no "
+                              f"usable norm_mean/norm_std: {e}") from None
+    return pw_spec, pw_params, pw_meta, iw_spec, iw_params, stats
 
 
 def cmd_infer(cfg: dict, explicit: set[str], parser, command) -> dict:
@@ -366,7 +358,7 @@ def cmd_infer(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .data import normalize_pixels, read_ppm
     from .model import CLASS_NAMES, infer_image
 
-    pw_spec, pw_params, pw_meta, iw_spec, iw_params, _, stats = _load_stage_pair(cfg)
+    pw_spec, pw_params, pw_meta, iw_spec, iw_params, stats = _load_stage_pair(cfg)
     cfg = _tiling(cfg, explicit, pw_meta)
     pixels = normalize_pixels(read_ppm(cfg["image"]), stats)
     cls, probs = infer_image(pw_spec, pw_params, iw_spec, iw_params, pixels, cfg["window"])
@@ -380,17 +372,17 @@ def cmd_infer(cfg: dict, explicit: set[str], parser, command) -> dict:
 
 def cmd_eval(cfg: dict, explicit: set[str], parser, command) -> dict:
     _require(cfg, ["patch_checkpoint", "image_checkpoint", "manifest"], parser, command)
-    from .data import load_manifest, load_images, normalize_pixels
+    from dataclasses import replace
+
+    from .data import load_images, load_manifest
     from .trainer import evaluate_images, metrics_from_confusion
 
-    pw_spec, pw_params, pw_meta, iw_spec, iw_params, _, stats = _load_stage_pair(cfg)
+    pw_spec, pw_params, pw_meta, iw_spec, iw_params, stats = _load_stage_pair(cfg)
     cfg = _tiling(cfg, explicit, pw_meta)
     manifest = load_manifest(cfg["manifest"])
-    images = load_images(manifest, cfg["split"])
+    images = load_images(replace(manifest, stats=stats), cfg["split"], normalized=True)
     if not images:
         raise ValueError(f"split {cfg['split']!r} is empty")
-    for img in images:
-        img.pixels = normalize_pixels(img.pixels, stats)
     confusion = evaluate_images(pw_spec, pw_params, iw_spec, iw_params,
                                 images, cfg["window"])
     accuracy, precision, recall = metrics_from_confusion(confusion)

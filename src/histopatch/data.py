@@ -87,8 +87,21 @@ class NormStats:
 
     @staticmethod
     def from_dict(d: dict) -> "NormStats":
-        return NormStats(mean=tuple(float(v) for v in d["mean"]),
-                         std=tuple(float(v) for v in d["std"]))
+        """Inverse of ``to_dict``; ManifestError unless mean and std each
+        hold 3 finite numbers and every std is above 0."""
+        if not isinstance(d, dict):
+            raise ManifestError(f"stats must be a {{mean, std}} object, got {json.dumps(d)}")
+        values = {}
+        for key in ("mean", "std"):
+            v = d.get(key)
+            if not (isinstance(v, (list, tuple)) and len(v) == 3
+                    and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                            and math.isfinite(x) for x in v)):
+                raise ManifestError(f"stats {key} must be 3 finite numbers, got {json.dumps(v)}")
+            values[key] = tuple(float(x) for x in v)
+        if min(values["std"]) <= 0:
+            raise ManifestError(f"stats std must be above 0, got {json.dumps(values['std'])}")
+        return NormStats(**values)
 
 
 @dataclass

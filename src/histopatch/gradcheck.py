@@ -2,8 +2,9 @@
 
 The harness compares the taped backward pass of an operation against central
 differences of a weighted scalar loss.  A plain sum-loss is blind to ops whose
-output sums are constant (softmax rows sum to 1), so the loss is sum(W * out)
-with fixed random weights W; the sum-loss is the W == 1 special case.
+output sums are constant (train-mode batchnorm's are fixed by beta), so the
+loss is sum(W * out) with fixed random weights W; the sum-loss is the W == 1
+special case.
 
 Differences are taken along random sign directions rather than one coordinate
 at a time.  Per-coordinate differences on float32 forwards drown tiny

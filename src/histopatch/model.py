@@ -8,9 +8,9 @@ channel-stacked feature maps of all tiled patches and classifies through three
 fully connected layers.  Channel widths beyond the doubling rule are free
 hyper-parameters (base width B, feature depth C, head depth D).
 
-Eval-mode forwards without a tape (feature caching, inference, validation)
-fold each conv block's batchnorm into its conv and apply the relu in place,
-so they make no batchnorm pass; see ``network_forward``.  How many samples
+Eval-mode forwards (feature caching, inference, validation) take no tape:
+they fold each conv block's batchnorm into its conv and apply the relu in
+place, so they make no batchnorm pass; see ``network_forward``.  How many samples
 ride in one eval forward is set by an activation-byte budget alone; see
 ``eval_batch_size``.
 """
@@ -25,8 +25,8 @@ import numpy as np
 from . import ops
 from .autodiff import Tape
 from .data import N_CLASSES
-from .geometry import (LayerGeom, PatchGrid, RFState, output_size, patch_windows,
-                       receptive_field)
+from .geometry import (GeometryError, LayerGeom, PatchGrid, RFState, output_size,
+                       patch_windows, receptive_field)
 from .rng import derive
 from .tensor import Tensor
 
@@ -35,13 +35,13 @@ __all__ = [
     "NetworkSpec",
     "canonical_patchwise_spec",
     "canonical_imagewise_spec",
+    "check_window",
     "init_params",
     "trainable_names",
     "network_forward",
     "eval_batch_size",
     "patchwise_logits",
     "extract_features",
-    "stack_features",
     "image_feature_stack",
     "infer_image",
     "CLASS_NAMES",
@@ -282,6 +282,21 @@ def canonical_imagewise_spec(n_patches: int = 12, feature_depth: int = 16,
     return spec
 
 
+def check_window(window: int) -> None:
+    """Refuse a window (stage one's patches, stage two's tiles) that either
+    stack collapses (the image-wise one sees window // 8 wide feature maps)
+    or that the patch-wise stack's three stride-2 stages do not divide."""
+    for name, spec, size in (("patch-wise", canonical_patchwise_spec(), window),
+                             ("image-wise", canonical_imagewise_spec(), window // 8)):
+        try:
+            output_size(spec.conv_geoms(), size)
+        except GeometryError as e:
+            raise GeometryError(f"window {window} is too small for the {name} "
+                                f"stack: {e}") from None
+    if window % 8:
+        raise GeometryError(f"window {window} must be a multiple of 8 (three stride-2 stages)")
+
+
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -363,15 +378,17 @@ def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mod
     extraction).  The trailing softmax is skipped unless ``with_softmax`` —
     training reads raw logits.  Dropout is active only in train mode.
 
-    An eval-mode forward without a tape folds each batchnorm into the conv
-    in front of it (see ``_fold_batchnorm``): one ``ops.conv2d`` call per
-    conv block and no batchnorm pass.  It applies every relu in place on the
-    freshly allocated output of the layer before it.  Its outputs match the
-    unfolded ``ops.batchnorm2d``/``ops.relu`` path to float32 rounding, also
-    at a ``stop_after`` inside a block.  A taped forward never folds, so
-    gradients reach gamma and beta.
+    Only a train-mode forward without the softmax takes a tape: nothing
+    trains through the rest.  An eval-mode forward folds each batchnorm into
+    the conv in front of it (``_fold_batchnorm``): one ``ops.conv2d`` call
+    per conv block, no batchnorm pass, every relu applied in place on the
+    fresh output before it.  Its outputs match the unfolded
+    ``ops.batchnorm2d``/``ops.relu`` path to float32 rounding, also at a
+    ``stop_after`` inside a block.
     """
-    fold = mode == "eval" and tape is None
+    if tape is not None and (mode == "eval" or with_softmax):
+        raise ValueError("only a train-mode forward without the softmax takes a tape")
+    fold = mode == "eval"
     folded = False  # whether the batchnorm at the next index is already applied
     cur = x
     for i, layer in enumerate(spec.layers):
@@ -394,20 +411,16 @@ def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mod
                 np.maximum(cur.data, 0, out=cur.data)
             else:
                 cur = ops.relu(cur, tape=tape)
-        elif layer.kind == "dropout":
-            if mode == "train" and layer.rate > 0:
-                if dropout_rng is None:
-                    raise ValueError("train-mode forward through dropout needs dropout_rng")
-                cur = ops.dropout(cur, layer.rate, "train", rng=dropout_rng(i), tape=tape)
-            # eval or rate 0: identity
+        elif layer.kind == "dropout" and mode == "train":
+            rng = None if dropout_rng is None else dropout_rng(i)
+            cur = ops.dropout(cur, layer.rate, rng=rng, tape=tape)
         elif layer.kind == "global_avg_pool":
             cur = ops.global_avg_pool(cur, tape=tape)
         elif layer.kind == "linear":
             cur = ops.linear(cur, params[f"{prefix}.weight"], params[f"{prefix}.bias"],
                              tape=tape)
-        elif layer.kind == "softmax":
-            if with_softmax:
-                cur = ops.softmax(cur, tape=tape)
+        elif layer.kind == "softmax" and with_softmax:
+            cur = ops.softmax(cur)
         if stop_after is not None and i == stop_after:
             return cur
     return cur
@@ -456,16 +469,6 @@ def extract_features(spec: NetworkSpec, params: dict[str, Tensor], patches: Tens
     return network_forward(spec, params, patches, "eval", stop_after=spec.feature_cut)
 
 
-def stack_features(features: list[Tensor], expected_count: int | None = None) -> Tensor:
-    """Concatenate per-patch (C, h, w) feature maps along channels, in
-    row-major patch order."""
-    if expected_count is not None and len(features) != expected_count:
-        raise ValueError(
-            f"expected {expected_count} patch feature maps, got {len(features)}"
-        )
-    return ops.concat_channels(features)
-
-
 def image_feature_stack(pw_spec: NetworkSpec, pw_params: dict[str, Tensor],
                         image: Tensor, window: int) -> Tensor:
     """Tile a normalized (3, H, W) image with non-overlapping patches, extract
@@ -475,11 +478,9 @@ def image_feature_stack(pw_spec: NetworkSpec, pw_params: dict[str, Tensor],
     grid = PatchGrid(image_w=w, image_h=h, window=window, stride=window)
     tiles = [tile for row in patch_windows(image.data, grid) for tile in row]
     step = eval_batch_size(pw_spec, tiles[0].shape)
-    per_patch = []
-    for lo in range(0, len(tiles), step):
-        feats = extract_features(pw_spec, pw_params, Tensor(np.stack(tiles[lo:lo + step])))
-        per_patch += [Tensor(f) for f in feats.data]
-    return stack_features(per_patch, expected_count=grid.total)
+    groups = (extract_features(pw_spec, pw_params, Tensor(np.stack(tiles[lo:lo + step])))
+              for lo in range(0, len(tiles), step))
+    return ops.concat_channels([Tensor(f) for feats in groups for f in feats.data])
 
 
 def infer_image(pw_spec: NetworkSpec, pw_params: dict[str, Tensor],

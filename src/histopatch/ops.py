@@ -1,7 +1,8 @@
 """Forward and backward implementations of every layer primitive.
 
-All functions take `Tensor` arguments, compute in float32 and, when a `Tape`
-is supplied, record a backward rule on it.  Convolution is lowered onto
+All functions take `Tensor` arguments and compute in float32; those training
+differentiates record a backward rule on a `Tape` when given one (softmax,
+concat_channels and eval-mode batchnorm2d take none).  Convolution is lowered onto
 GEMMs in one of three ways chosen from the layer's shape (shifted slices of
 the padded input for stride-1 convs, a reshape for non-overlapping windows,
 an im2col patch matrix otherwise; see the convolution section); its
@@ -30,11 +31,6 @@ __all__ = [
     "global_avg_pool",
     "concat_channels",
 ]
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +230,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     x: (N, Cin, H, W), w: (Cout, Cin, kh, kw), b: (Cout,).
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1.
 
-    The GEMM lowering depends only on the per-sample shape (see _lowering):
-    stride 1 with padding < kernel and Cin >= 4 (3 on output maps of at
-    least 256x256) accumulates kh*kw GEMMs over shifted slices of the
-    padded input; stride == kernel with padding 0 reshapes the input into
-    its non-overlapping windows; any other shape builds the im2col patch
-    matrix.  The input gradient is the conv of the output gradient with the
-    flipped, transposed kernel, lowered by the same rule on Cout (for the
-    shifted lowering at padding kernel-1-padding).  A taped shifted conv
-    keeps only x for the backward pass; the other two keep their patch
-    matrix, which for non-overlapping windows is no larger than x.
+    The GEMM lowering depends only on the per-sample shape (see _lowering
+    and the section comment).  The input gradient is the conv of the output
+    gradient with the flipped, transposed kernel, lowered by the same rule
+    on Cout (for the shifted lowering at padding kernel-1-padding).  A taped
+    shifted conv keeps only x for the backward pass; the other two keep
+    their patch matrix, which for non-overlapping windows is no larger
+    than x.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.shape} and {w.shape}")
@@ -320,14 +313,18 @@ BATCHNORM_EPS = 1e-5
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                 running_var: Tensor, mode: str, momentum: float = 0.1,
-                eps: float = BATCHNORM_EPS, tape: Tape | None = None) -> Tensor:
+                tape: Tape | None = None) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
     Train mode normalizes with batch statistics and updates the running
     buffers in place: running <- (1-momentum)*running + momentum*batch.
-    Eval mode normalizes with the running buffers only.
+    Eval mode normalizes with the running buffers only; it takes no tape
+    (eval forwards fold it into the conv, holding the fold to this).
     """
-    _check_mode(mode)
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "eval" and tape is not None:
+        raise ValueError("batchnorm2d in eval mode is forward-only; it takes no tape")
     if x.ndim != 4:
         raise ValueError(f"batchnorm2d expects (N, C, H, W), got {x.shape}")
     n, c, h, wd = x.shape
@@ -345,37 +342,28 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         mean = x.data.mean(axis=(0, 2, 3))
         centered = x.data - mean[None, :, None, None]
         var = np.mean(centered * centered, axis=(0, 2, 3))
-        invstd = 1.0 / np.sqrt(var + np.float32(eps))
+        invstd = 1.0 / np.sqrt(var + np.float32(BATCHNORM_EPS))
         xhat = centered * invstd[None, :, None, None]
         running_mean.data[:] = (1.0 - momentum) * running_mean.data + momentum * mean
         running_var.data[:] = (1.0 - momentum) * running_var.data + momentum * var
     else:
-        invstd = 1.0 / np.sqrt(running_var.data + np.float32(eps))
+        invstd = 1.0 / np.sqrt(running_var.data + np.float32(BATCHNORM_EPS))
         xhat = (x.data - running_mean.data[None, :, None, None]) * invstd[None, :, None, None]
 
     out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
 
     if tape is not None:
-        if mode == "train":
-            m = n * h * wd
-
-            def backward(gout: np.ndarray):
-                # With k = gamma*invstd per channel, the sums of gout*gamma and
-                # of gout*gamma*xhat over (N, H, W) are gamma*gbeta and
-                # gamma*ggamma, so gx = k*gout - k*gbeta/m - xhat*k*ggamma/m.
-                ggamma = (gout * xhat).sum(axis=(0, 2, 3))
-                gbeta = gout.sum(axis=(0, 2, 3))
-                k = gamma.data * invstd
-                gx = gout * k[None, :, None, None]
-                gx -= xhat * (k * ggamma / m)[None, :, None, None]
-                gx -= (k * gbeta / m)[None, :, None, None]
-                return gx, ggamma, gbeta, None, None
-        else:
-            def backward(gout: np.ndarray):
-                ggamma = (gout * xhat).sum(axis=(0, 2, 3))
-                gbeta = gout.sum(axis=(0, 2, 3))
-                gx = gout * (gamma.data * invstd)[None, :, None, None]
-                return gx, ggamma, gbeta, None, None
+        def backward(gout: np.ndarray):
+            # With k = gamma*invstd per channel, the sums of gout*gamma and
+            # of gout*gamma*xhat over (N, H, W) are gamma*gbeta and
+            # gamma*ggamma, so gx = k*gout - k*gbeta/m - xhat*k*ggamma/m.
+            ggamma = (gout * xhat).sum(axis=(0, 2, 3))
+            gbeta = gout.sum(axis=(0, 2, 3))
+            k = gamma.data * invstd
+            gx = gout * k[None, :, None, None]
+            gx -= xhat * (k * ggamma / m)[None, :, None, None]
+            gx -= (k * gbeta / m)[None, :, None, None]
+            return gx, ggamma, gbeta, None, None
 
         tape.record((x, gamma, beta, running_mean, running_var), out, backward)
     return out
@@ -424,17 +412,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None,
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None,
             tape: Tape | None = None) -> Tensor:
-    """Inverted dropout: train mode zeroes with probability p and scales
-    survivors by 1/(1-p); eval mode is the identity."""
-    _check_mode(mode)
+    """Inverted dropout, as in training: zeroes with probability p and scales
+    survivors by 1/(1-p).  Rate 0 is the identity; eval forwards skip dropout
+    (model.network_forward)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
+    if p == 0.0:
         return x
     if rng is None:
-        raise ValueError("dropout in train mode needs a seeded generator")
+        raise ValueError("dropout needs a seeded generator")
     keep = (rng.random(x.shape, dtype=np.float32) >= p)
     mask = keep.astype(np.float32) * np.float32(1.0 / (1.0 - p))
     out = Tensor(x.data * mask)
@@ -450,24 +438,15 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
 # ---------------------------------------------------------------------------
 # classification head
 
-def softmax(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Row-wise softmax with max subtraction for stability."""
+def softmax(x: Tensor) -> Tensor:
+    """Row-wise softmax with max subtraction for stability; forward-only."""
     if x.ndim != 2:
         raise ValueError(f"softmax expects (N, K) logits, got {x.shape}")
     if not np.isfinite(x.data).all():
         raise ValueError("softmax input must be finite")
     z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
-
-    if tape is not None:
-        def backward(gout: np.ndarray):
-            inner = (gout * y).sum(axis=1, keepdims=True)
-            return (y * (gout - inner),)
-
-        tape.record((x,), out, backward)
-    return out
+    return Tensor(e / e.sum(axis=1, keepdims=True))
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, tape: Tape | None = None) -> Tensor:
@@ -525,32 +504,15 @@ def global_avg_pool(x: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def concat_channels(inputs: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
-    """Concatenate (C_i, H, W) tensors along channels in argument order."""
+def concat_channels(inputs: Sequence[Tensor]) -> Tensor:
+    """Concatenate (C_i, H, W) tensors along channels in argument order;
+    forward-only (stage two trains on stacks of frozen features)."""
     if len(inputs) == 0:
         raise ValueError("concat_channels needs at least one input")
-    for t in inputs:
+    for i, t in enumerate(inputs):
         if t.ndim != 3:
             raise ValueError(f"concat_channels expects (C, H, W) inputs, got {t.shape}")
-    hw = inputs[0].shape[1:]
-    for i, t in enumerate(inputs):
-        if t.shape[1:] != hw:
-            raise ValueError(
-                f"concat_channels spatial mismatch: input 0 is {inputs[0].shape}, "
-                f"input {i} is {t.shape}"
-            )
-    out = Tensor(np.concatenate([t.data for t in inputs], axis=0))
-
-    if tape is not None:
-        sizes = [t.shape[0] for t in inputs]
-
-        def backward(gout: np.ndarray):
-            grads = []
-            offset = 0
-            for c in sizes:
-                grads.append(np.ascontiguousarray(gout[offset:offset + c]))
-                offset += c
-            return grads
-
-        tape.record(tuple(inputs), out, backward)
-    return out
+        if t.shape[1:] != inputs[0].shape[1:]:
+            raise ValueError(f"concat_channels spatial mismatch: input 0 is "
+                             f"{inputs[0].shape}, input {i} is {t.shape}")
+    return Tensor(np.concatenate([t.data for t in inputs], axis=0))

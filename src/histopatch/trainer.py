@@ -29,6 +29,7 @@ from .model import (
     NetworkSpec,
     canonical_imagewise_spec,
     canonical_patchwise_spec,
+    check_window,
     eval_batch_size,
     image_feature_stack,
     infer_image,
@@ -91,6 +92,7 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+        check_window(self.window)
 
 
 @dataclass(frozen=True)

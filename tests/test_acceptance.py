@@ -42,9 +42,8 @@ from histopatch.model import (
     extract_features,
     init_params,
     network_forward,
-    stack_features,
 )
-from histopatch.ops import conv2d, cross_entropy
+from histopatch.ops import concat_channels, conv2d, cross_entropy
 from histopatch.rng import derive
 from histopatch.tensor import Tensor
 from histopatch.trainer import early_stop
@@ -131,12 +130,13 @@ def test_criterion_03_feature_map_shapes():
         feats = extract_features(spec, params, patch)
         assert feats.shape == (1, 3, 64, 64)
         one = Tensor(np.ascontiguousarray(feats.data[0]))
-        stack = stack_features([one] * 12, expected_count=12)
+        stack = concat_channels([one] * 12)
         assert stack.shape == (12 * 3, 64, 64)
 
 
 def test_criterion_04_gradient_checks():
-    with _report(4, "gradient checks: every primitive < 1e-3 over 5 seeds"):
+    with _report(4, "gradient checks: every differentiable primitive < 1e-3 over 5 "
+                    "seeds"):
         for name, op, shapes in gradcheck_cases():
             for seed in range(10, 15):
                 err = grad_check(op, shapes, seed=seed)

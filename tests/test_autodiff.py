@@ -7,7 +7,7 @@ import pytest
 
 from histopatch.autodiff import Tape
 from histopatch.tensor import Tensor, ones, zeros
-from histopatch.ops import concat_channels, conv2d, cross_entropy, linear, relu
+from histopatch.ops import conv2d, cross_entropy, linear, relu
 
 
 def test_single_op_chain():
@@ -21,11 +21,14 @@ def test_single_op_chain():
 
 def test_reused_tensor_accumulates_sum():
     tape = Tape()
-    x = Tensor(np.full((2, 3, 3), 1.5, dtype=np.float32), requires_grad=True)
-    stacked = concat_channels([x, x], tape=tape)
-    tape.backward(stacked)
-    # each use contributes a full gradient of ones
-    npt.assert_array_equal(x.grad, np.full(x.shape, 2.0, dtype=np.float32))
+    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32), requires_grad=True)
+    b = zeros((2,), requires_grad=True)
+    y = linear(x, x, b, tape=tape)    # x @ x.T: x is both input and weight
+    tape.backward(y)
+    # the input use contributes ones @ x, the weight use ones.T @ x; the
+    # tape sums the two into x.grad
+    use = np.ones((2, 2), dtype=np.float32) @ x.data
+    npt.assert_array_equal(x.grad, use + use)
 
 
 def test_shared_weight_two_applications():

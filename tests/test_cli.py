@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from histopatch.checkpoint import load_checkpoint, save_checkpoint
 from histopatch.data import load_manifest, read_ppm, synth_dataset
 
 
@@ -133,6 +134,23 @@ class TestStatsCommand:
         target = next(r for r in records if r["path"] == "c0_001.ppm")
         target[field] = value
         text = json.dumps(doc)
+        (out / "manifest.json").write_text(text)
+        proc = run_cli("stats", "--manifest", out / "manifest.json", expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [message]
+        assert (out / "manifest.json").read_text() == text
+
+    @pytest.mark.parametrize("stats, message", [
+        ({"mean": [0.5, 0.5, 0.5]}, "error: stats std must be 3 finite numbers, got null"),
+        ("x", 'error: stats must be a {mean, std} object, got "x"'),
+    ], ids=["no-std", "string"])
+    def test_malformed_stats_exit_2(self, run_cli, tmp_path, stats, message):
+        out = tmp_path / "ds"
+        run_cli("synth", "--out", out, "--n-per-class", "2",
+                "--image-w", "96", "--image-h", "64", "--seed", "1")
+        doc = json.loads((out / "manifest.json").read_text())
+        records = doc["records"] if isinstance(doc, dict) else doc
+        text = json.dumps({"records": records, "stats": stats})
         (out / "manifest.json").write_text(text)
         proc = run_cli("stats", "--manifest", out / "manifest.json", expect=2)
         assert proc.stdout == ""
@@ -300,6 +318,22 @@ class TestInferCommand:
         run_cli("infer", "--patch-checkpoint", bad,
                 "--image-checkpoint", tiny_cli_artifacts["image_ckpt"],
                 "--image", image, expect=4)
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_checkpoint_without_norm_stats_exits_4(self, run_cli, tiny_cli_artifacts,
+                                                   tmp_path, command):
+        spec, params, _ = load_checkpoint(tiny_cli_artifacts["patch_ckpt"])
+        bare = tmp_path / "bare.ckpt"
+        save_checkpoint(bare, spec, params, {"seed": 0})
+        target = (("--image", tiny_cli_artifacts["data"] / "c0_000.ppm") if command == "infer"
+                  else ("--manifest", tiny_cli_artifacts["manifest"]))
+        proc = run_cli(command, "--patch-checkpoint", bare,
+                       "--image-checkpoint", tiny_cli_artifacts["image_ckpt"], *target,
+                       expect=4)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: patch-wise checkpoint {bare} holds no usable norm_mean/norm_std: "
+            "stats mean must be 3 finite numbers, got null"]
 
     def test_garbage_image_exits_3(self, run_cli, tiny_cli_artifacts, tmp_path):
         bad = tmp_path / "bad.ppm"

@@ -192,6 +192,25 @@ class TestManifest:
         stats = NormStats(mean=(0.1, 0.2, 0.3), std=(1.0, 2.0, 3.0))
         assert NormStats.from_dict(stats.to_dict()) == stats
 
+    @pytest.mark.parametrize("stats, match", [
+        ({"mean": [0.5, 0.5, 0.5]}, "stats std must be 3 finite numbers, got null"),
+        ("x", "stats must be a {mean, std} object"),
+        ({"mean": [0.5, 0.5], "std": [1, 1, 1]}, "stats mean must be 3 finite numbers"),
+        ({"mean": [0.5, float("nan"), 0.5], "std": [1, 1, 1]}, "stats mean must be 3"),
+        ({"mean": [0, 0, 0], "std": [1, float("inf"), 1]}, "stats std must be 3"),
+        ({"mean": [0, 0, 0], "std": [1, "1", 1]}, "stats std must be 3"),
+        ({"mean": [0, True, 0], "std": [1, 1, 1]}, "stats mean must be 3"),
+        ({"mean": [0, 0, 0], "std": [1, 0, 1]}, r"stats std must be above 0, got \[1.0, 0.0"),
+        ({"mean": [0, 0, 0], "std": [1, 1, -2]}, "stats std must be above 0"),
+    ], ids=["no-std", "string", "short-mean", "nan-mean", "inf-std", "string-std",
+            "bool-mean", "zero-std", "negative-std"])
+    def test_malformed_stats_rejected(self, tmp_path, stats, match):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"records": [
+            {"path": "a.ppm", "label": 0, "split": "train"}], "stats": stats}))
+        with pytest.raises(ManifestError, match=match):
+            load_manifest(path)
+
 
 class TestNormStats:
     def _write(self, tmp_path, name, image):

@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from histopatch import model, ops
+from histopatch.autodiff import Tape
 from histopatch.model import (
     NetworkSpec,
     canonical_imagewise_spec,
@@ -19,7 +20,6 @@ from histopatch.model import (
     init_params,
     network_forward,
     patchwise_logits,
-    stack_features,
     trainable_names,
 )
 from histopatch.tensor import Tensor
@@ -161,6 +161,20 @@ class TestForwardShapes:
         x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 16, 16)).astype(np.float32))
         probs = network_forward(spec, params, x, "eval", with_softmax=True)
         npt.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-5)
+
+    @pytest.mark.parametrize("mode, with_softmax", [("eval", False), ("eval", True),
+                                                    ("train", True)])
+    def test_only_a_train_forward_to_logits_takes_a_tape(self, small_pw, mode,
+                                                         with_softmax):
+        # nothing trains through an eval forward or the softmax
+        spec, params = small_pw
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 16, 16)).astype(np.float32))
+        tape = Tape()
+        with pytest.raises(ValueError, match="takes a tape"):
+            network_forward(spec, params, x, mode, tape=tape, with_softmax=with_softmax)
+        assert len(tape) == 0
+        network_forward(spec, {k: t.copy() for k, t in params.items()}, x, "train", tape=tape)
+        assert len(tape) > 0
 
     def test_feature_map_is_one_eighth(self, small_pw):
         spec, params = small_pw
@@ -362,18 +376,6 @@ class TestEvalBatchSize:
 
 
 class TestFeatureStacking:
-    def test_stack_order_matches_manual_concat(self):
-        rng = np.random.default_rng(11)
-        feats = [Tensor(rng.normal(size=(3, 4, 4)).astype(np.float32)) for _ in range(5)]
-        out = stack_features(feats)
-        assert out.shape == (15, 4, 4)
-        npt.assert_array_equal(out.data, np.concatenate([f.data for f in feats], axis=0))
-
-    def test_expected_count_enforced(self):
-        feats = [Tensor(np.zeros((2, 4, 4), dtype=np.float32))] * 3
-        with pytest.raises(ValueError):
-            stack_features(feats, expected_count=12)
-
     def test_image_feature_stack_matches_per_patch_extraction(self, monkeypatch):
         spec = canonical_patchwise_spec(base_width=2, feature_depth=3)
         params = init_params(spec, seed=4)

@@ -255,6 +255,16 @@ class TestBatchnorm2d:
         with pytest.raises(ValueError):
             batchnorm2d(ones((1, 1, 2, 2)), g, b, rm, rv, mode="test")
 
+    def test_eval_mode_refuses_a_tape(self):
+        # nothing trains through eval-mode batchnorm, so it records no rule
+        g, b, rm, rv = self._stats(2)
+        tape = Tape()
+        with pytest.raises(ValueError, match="eval mode is forward-only"):
+            batchnorm2d(ones((2, 2, 3, 3)), g, b, rm, rv, mode="eval", tape=tape)
+        assert len(tape) == 0
+        batchnorm2d(ones((2, 2, 3, 3)), g, b, rm, rv, mode="train", tape=tape)
+        assert len(tape) == 1
+
 
 class TestRelu:
     def test_chart(self):
@@ -329,32 +339,27 @@ class TestLinear:
 class TestDropout:
     def test_p_zero_identity(self):
         x = Tensor(np.arange(4, dtype=np.float32))
-        out = dropout(x, 0.0, mode="train", rng=np.random.default_rng(0))
-        npt.assert_array_equal(out.data, x.data)
-
-    def test_eval_identity(self):
-        x = Tensor(np.arange(4, dtype=np.float32))
-        out = dropout(x, 0.5, mode="eval")
+        out = dropout(x, 0.0, rng=np.random.default_rng(0))
         npt.assert_array_equal(out.data, x.data)
 
     def test_train_mean_preserved(self):
         x = ones((100_000,))
-        out = dropout(x, 0.5, mode="train", rng=np.random.default_rng(42))
+        out = dropout(x, 0.5, rng=np.random.default_rng(42))
         assert 0.98 <= float(out.data.mean()) <= 1.02
 
     def test_survivor_scale(self):
         x = ones((1000,))
-        out = dropout(x, 0.25, mode="train", rng=np.random.default_rng(5))
+        out = dropout(x, 0.25, rng=np.random.default_rng(5))
         kept = out.data[out.data != 0.0]
         npt.assert_allclose(kept, 1.0 / 0.75, rtol=1e-6)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            dropout(ones((4,)), 1.0, mode="train", rng=np.random.default_rng(0))
+            dropout(ones((4,)), 1.0, rng=np.random.default_rng(0))
 
     def test_train_without_rng_rejected(self):
         with pytest.raises(ValueError):
-            dropout(ones((4,)), 0.5, mode="train")
+            dropout(ones((4,)), 0.5)
 
 
 class TestSoftmax:
@@ -387,6 +392,10 @@ class TestSoftmax:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             softmax(Tensor(np.array([[np.inf, 0.0]], dtype=np.float32)))
+
+    def test_forward_only(self):
+        with pytest.raises(TypeError):
+            softmax(zeros((1, 4)), tape=Tape())
 
 
 class TestCrossEntropy:
@@ -453,3 +462,7 @@ class TestConcatChannels:
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ValueError):
             concat_channels([ones((1, 4, 4)), ones((1, 4, 5))])
+
+    def test_forward_only(self):
+        with pytest.raises(TypeError):
+            concat_channels([ones((1, 4, 4))], tape=Tape())

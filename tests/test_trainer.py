@@ -166,6 +166,10 @@ class TestTrainConfig:
         {"stage": "patchwise", "batch_size": 1},
         {"stage": "patchwise", "max_epochs": 0},
         {"stage": "imagewise", "dropout_rate": 1.0},
+        # windows a conv stack cannot carry (too small, or not a multiple of 8)
+        {"stage": "patchwise", "window": 16},
+        {"stage": "patchwise", "window": 60},
+        {"stage": "imagewise", "window": 24},
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
