@@ -15,6 +15,7 @@ keys, no whitespace) so identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import NetworkSpec, _param_entries, trainable_names
+from .model import _TRAINABLE_ROLES, NetworkSpec, _param_entries
 from .tensor import Tensor
 
 __all__ = [
@@ -44,7 +45,8 @@ class CheckpointError(Exception):
 
 
 class CheckpointFormatError(CheckpointError):
-    """Bad magic, unsupported version, truncation, or checksum mismatch."""
+    """Bad magic, unsupported version, truncation, checksum mismatch, or a
+    header or tensor list that is not a canonical network's."""
 
 
 class CheckpointKindError(CheckpointError):
@@ -61,11 +63,11 @@ def save_checkpoint(path: str | Path, spec: NetworkSpec, params: dict[str, Tenso
     """Write spec + meta + every parameter tensor (running stats included).
     Non-finite values are refused; the bytes go to a temporary file that is
     then renamed onto ``path``, so ``path`` never holds a partial file."""
-    names = [name for name, _, _ in _param_entries(spec)]
-    missing = [n for n in names if n not in params]
+    table = list(_param_entries(spec))
+    missing = [n for n, _, shape in table if n not in params or params[n].shape != shape]
     if missing:
-        raise CheckpointError(f"params missing tensors: {missing}")
-    non_finite = [n for n in names if not np.isfinite(params[n].data).all()]
+        raise CheckpointError(f"params lack tensors of the spec's shapes: {missing}")
+    non_finite = [n for n, _, _ in table if not np.isfinite(params[n].data).all()]
     if non_finite:
         raise CheckpointError(f"refusing to save non-finite values in {non_finite}")
 
@@ -76,8 +78,8 @@ def save_checkpoint(path: str | Path, spec: NetworkSpec, params: dict[str, Tenso
     header = _canonical_json({"spec": spec.to_dict(), "meta": meta or {}})
     out += struct.pack("<I", len(header))
     out += header
-    out += struct.pack("<I", len(names))
-    for name in names:
+    out += struct.pack("<I", len(table))
+    for name, _, _ in table:
         t = params[name]
         encoded = name.encode("utf-8")
         out += struct.pack("<H", len(encoded))
@@ -121,8 +123,10 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None
                     ) -> tuple[NetworkSpec, dict[str, Tensor], dict]:
     """Read a checkpoint back; returns (spec, params, meta).
 
-    The checksum is verified before anything is interpreted, and the stored
-    parameter names must exactly match what the stored network spec enumerates.
+    The checksum is verified before anything is interpreted.  Only the two
+    canonical stacks load: the stored spec must equal the one its sizes
+    rebuild (``NetworkSpec.from_dict``), and the stored (name, shape)
+    sequence must equal that spec's ``_param_entries`` table.
     """
     buf = Path(path).read_bytes()
     if len(buf) < len(MAGIC) + 4:
@@ -153,34 +157,36 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None
         header = json.loads(r.take(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointFormatError(f"bad header JSON: {e}") from e
+    meta = header.get("meta", {}) if isinstance(header, dict) else None
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError("header and its meta must be JSON objects")
     try:
-        spec = NetworkSpec.from_dict(header["spec"])
-    except (KeyError, TypeError, ValueError) as e:
+        spec = NetworkSpec.from_dict(header.get("spec"))
+    except ValueError as e:
         raise CheckpointFormatError(f"bad network spec in header: {e}") from e
     if spec.kind != kind:
         raise CheckpointFormatError(
             f"kind byte says {kind} but the stored spec is {spec.kind}"
         )
-    meta = header.get("meta", {})
 
+    table = list(_param_entries(spec))
     n_params = r.u32()
-    trainable = set(trainable_names(spec))
+    if n_params != len(table):
+        raise CheckpointFormatError(
+            f"{n_params} tensors stored but the network spec has {len(table)}")
     params: dict[str, Tensor] = {}
-    for _ in range(n_params):
-        name = r.take(r.u16()).decode("utf-8")
-        rank = r.u8()
-        shape = tuple(r.u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
-        params[name] = Tensor(data.copy(), requires_grad=name in trainable)
+    for want_name, role, want_shape in table:
+        try:
+            name = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointFormatError(f"tensor name is not UTF-8: {e}") from None
+        shape = tuple(r.u32() for _ in range(r.u8()))
+        if (name, shape) != (want_name, want_shape):
+            raise CheckpointFormatError(
+                f"stored tensor {name} {list(shape)} where the network spec has "
+                f"{want_name} {list(want_shape)}")
+        data = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        params[name] = Tensor(data.copy(), requires_grad=role in _TRAINABLE_ROLES)
     if r.pos != len(r.buf):
         raise CheckpointFormatError(f"{len(r.buf) - r.pos} trailing bytes after parameters")
-
-    expected = [n for n, _, _ in _param_entries(spec)]
-    if sorted(params) != sorted(expected):
-        extra = sorted(set(params) - set(expected))
-        missing = sorted(set(expected) - set(params))
-        raise CheckpointFormatError(
-            f"parameter names do not match the network spec (missing {missing}, extra {extra})"
-        )
     return spec, params, meta

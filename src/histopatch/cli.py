@@ -315,16 +315,14 @@ def cmd_train_image(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .trainer import TrainConfig, train_imagewise
 
     pw_spec, pw_params, pw_meta = _load_pw(cfg)
+    stats = _norm_stats(cfg, pw_meta)
     manifest = load_manifest(cfg["manifest"])
-    if manifest.stats is not None and "norm_mean" in pw_meta:
-        same = (list(manifest.stats.mean) == pw_meta["norm_mean"]
-                and list(manifest.stats.std) == pw_meta["norm_std"])
-        if not same:
-            raise ValueError(
-                "manifest normalization stats differ from the ones the "
-                "patch-wise checkpoint was trained with; recompute stats or "
-                "retrain stage one"
-            )
+    if manifest.stats is not None and manifest.stats != stats:
+        raise ValueError(
+            "manifest normalization stats differ from the ones the "
+            "patch-wise checkpoint was trained with; recompute stats or "
+            "retrain stage one"
+        )
     cfg = _tiling(cfg, explicit, pw_meta)
     tc = TrainConfig(
         stage="imagewise", seed=cfg["seed"], lr=cfg["lr"],
@@ -338,19 +336,25 @@ def cmd_train_image(cfg: dict, explicit: set[str], parser, command) -> dict:
     return _train_summary(command, cfg, result, ckpt, metrics)
 
 
-def _load_stage_pair(cfg: dict):
-    from .checkpoint import CheckpointError, load_checkpoint
+def _norm_stats(cfg: dict, pw_meta: dict):
+    """The patch checkpoint's ``NormStats``; ``CheckpointError`` if unusable."""
+    from .checkpoint import CheckpointError
     from .data import ManifestError, NormStats
 
-    pw_spec, pw_params, pw_meta = _load_pw(cfg)
-    iw_spec, iw_params, _ = load_checkpoint(cfg["image_checkpoint"], expect_kind="imagewise")
     try:
-        stats = NormStats.from_dict({"mean": pw_meta.get("norm_mean"),
-                                     "std": pw_meta.get("norm_std")})
+        return NormStats.from_dict({"mean": pw_meta.get("norm_mean"),
+                                    "std": pw_meta.get("norm_std")})
     except ManifestError as e:
         raise CheckpointError(f"patch-wise checkpoint {cfg['patch_checkpoint']} holds no "
                               f"usable norm_mean/norm_std: {e}") from None
-    return pw_spec, pw_params, pw_meta, iw_spec, iw_params, stats
+
+
+def _load_stage_pair(cfg: dict):
+    from .checkpoint import load_checkpoint
+
+    pw_spec, pw_params, pw_meta = _load_pw(cfg)
+    iw_spec, iw_params, _ = load_checkpoint(cfg["image_checkpoint"], expect_kind="imagewise")
+    return pw_spec, pw_params, pw_meta, iw_spec, iw_params, _norm_stats(cfg, pw_meta)
 
 
 def cmd_infer(cfg: dict, explicit: set[str], parser, command) -> dict:

@@ -17,6 +17,7 @@ ride in one eval forward is set by an activation-byte budget alone; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -91,22 +92,13 @@ class LayerSpec:
             d["rate"] = self.rate
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "LayerSpec":
-        return LayerSpec(
-            kind=d["kind"],
-            in_ch=d.get("in_ch"),
-            out_ch=d.get("out_ch"),
-            kernel=d.get("kernel"),
-            stride=d.get("stride", 1),
-            padding=d.get("padding", 0),
-            rate=d.get("rate"),
-        )
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Declarative description of a network; everything else derives from it."""
+    """Declarative description of a network; everything else derives from it.
+    Built only by ``canonical_patchwise_spec``/``canonical_imagewise_spec``
+    (``from_dict`` rebuilds through them), so every conv feeds a
+    batchnorm+relu."""
 
     kind: str  # "patchwise" | "imagewise"
     layers: tuple[LayerSpec, ...]
@@ -116,53 +108,6 @@ class NetworkSpec:
     n_patches: int | None = None
     feature_cut: int | None = None  # layer index whose output is the feature map
     n_classes: int = N_CLASSES
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if self.kind not in ("patchwise", "imagewise"):
-            raise ValueError(f"unknown network kind {self.kind!r}")
-        width = None  # channel/feature count flowing between layers
-        for i, layer in enumerate(self.layers):
-            if layer.kind == "conv":
-                if width is not None and layer.in_ch != width:
-                    raise ValueError(
-                        f"layer {i}: conv expects {layer.in_ch} channels but gets {width}"
-                    )
-                width = layer.out_ch
-            elif layer.kind == "batchnorm":
-                if layer.in_ch != width:
-                    raise ValueError(
-                        f"layer {i}: batchnorm over {layer.in_ch} channels but gets {width}"
-                    )
-            elif layer.kind == "linear":
-                if width is not None and layer.in_ch != width:
-                    raise ValueError(
-                        f"layer {i}: linear expects {layer.in_ch} features but gets {width}"
-                    )
-                width = layer.out_ch
-            elif layer.kind == "softmax":
-                if i != len(self.layers) - 1:
-                    raise ValueError("softmax must be the final layer")
-            elif layer.kind not in ("relu", "dropout", "global_avg_pool"):
-                raise ValueError(f"layer {i}: unknown kind {layer.kind!r}")
-        if self.kind == "patchwise":
-            self._validate_patchwise()
-
-    def _validate_patchwise(self) -> None:
-        convs = [l for l in self.layers if l.kind == "conv"]
-        if len(convs) != 16:
-            raise ValueError(f"patch-wise stack needs 16 conv layers, got {len(convs)}")
-        strided = [i + 1 for i, l in enumerate(convs) if l.stride == 2]
-        if strided != [3, 6, 9]:
-            raise ValueError(f"stride-2 convs must sit at positions 3, 6, 9, got {strided}")
-        for pos in (3, 6, 9):
-            l = convs[pos - 1]
-            if l.out_ch != 2 * l.in_ch:
-                raise ValueError(
-                    f"conv {pos} must double channels, got {l.in_ch} -> {l.out_ch}"
-                )
 
     def conv_geoms(self) -> list[LayerGeom]:
         return [LayerGeom(l.kernel, l.stride, l.padding)
@@ -174,13 +119,35 @@ class NetworkSpec:
         return d
 
     @staticmethod
-    def from_dict(d: dict) -> "NetworkSpec":
-        """Inverse of ``to_dict``; a missing size takes the field's default."""
-        sizes = {f.name: d.get(f.name, f.default) for f in fields(NetworkSpec)
-                 if f.name not in ("kind", "layers")}
-        return NetworkSpec(kind=d["kind"],
-                           layers=tuple(LayerSpec.from_dict(ld) for ld in d["layers"]),
-                           **sizes)
+    def from_dict(d) -> "NetworkSpec":
+        """Inverse of ``to_dict`` for the two canonical stacks, the only
+        networks there are: rebuild the spec from ``d``'s sizes (the
+        image-wise dropout rate from its first dropout layer) and raise
+        ``ValueError`` unless ``d`` is exactly that rebuild's ``to_dict()``."""
+        if not isinstance(d, dict):
+            raise ValueError(f"network spec must be an object, got {type(d).__name__}")
+
+        def size(key: str) -> int:
+            v = d.get(key)
+            if type(v) is not int:
+                raise ValueError(f"network spec {key} must be an integer, got {v!r}")
+            return v
+
+        if d.get("kind") == "patchwise":
+            spec = canonical_patchwise_spec(size("base_width"), size("feature_depth"))
+        elif d.get("kind") == "imagewise":
+            layers = d["layers"] if isinstance(d.get("layers"), list) else []
+            rate = next((l.get("rate") for l in layers
+                         if isinstance(l, dict) and l.get("kind") == "dropout"), None)
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise ValueError(f"network spec dropout rate must be a number, got {rate!r}")
+            spec = canonical_imagewise_spec(size("n_patches"), size("feature_depth"),
+                                            size("head_depth"), rate)
+        else:
+            raise ValueError(f"unknown network kind {d.get('kind')!r}")
+        if spec.to_dict() != d:
+            raise ValueError(f"not the canonical {spec.kind} stack for its sizes")
+        return spec
 
 
 def _conv_block(layers: list[LayerSpec], in_ch: int, out_ch: int, kernel: int,
@@ -301,23 +268,25 @@ def check_window(window: int) -> None:
 # parameters
 
 def _param_entries(spec: NetworkSpec):
-    """Yield (name, layer_index, role) for every tensor a network spec owns."""
+    """Yield (name, role, shape) for every tensor a network spec owns, in
+    checkpoint order: the one table of tensor names and shapes."""
     for i, layer in enumerate(spec.layers):
         prefix = f"{i:02d}"
         if layer.kind == "conv" or layer.kind == "linear":
-            yield f"{prefix}.weight", i, "weight"
-            yield f"{prefix}.bias", i, "bias"
+            k = (layer.kernel, layer.kernel) if layer.kind == "conv" else ()
+            yield f"{prefix}.weight", "weight", (layer.out_ch, layer.in_ch, *k)
+            yield f"{prefix}.bias", "bias", (layer.out_ch,)
         elif layer.kind == "batchnorm":
-            yield f"{prefix}.gamma", i, "gamma"
-            yield f"{prefix}.beta", i, "beta"
-            yield f"{prefix}.running_mean", i, "running_mean"
-            yield f"{prefix}.running_var", i, "running_var"
+            for role in ("gamma", "beta", "running_mean", "running_var"):
+                yield f"{prefix}.{role}", role, (layer.in_ch,)
+
+
+_TRAINABLE_ROLES = ("weight", "bias", "gamma", "beta")
 
 
 def trainable_names(spec: NetworkSpec) -> list[str]:
     """Unique names of every trainable tensor (running stats excluded)."""
-    return [name for name, _, role in _param_entries(spec)
-            if role in ("weight", "bias", "gamma", "beta")]
+    return [name for name, role, _ in _param_entries(spec) if role in _TRAINABLE_ROLES]
 
 
 def init_params(spec: NetworkSpec, seed: int) -> dict[str, Tensor]:
@@ -327,30 +296,17 @@ def init_params(spec: NetworkSpec, seed: int) -> dict[str, Tensor]:
     biases and betas start at 0, gammas at 1, running stats at (0, 1).
     """
     params: dict[str, Tensor] = {}
-    for name, i, role in _param_entries(spec):
-        layer = spec.layers[i]
+    for name, role, shape in _param_entries(spec):
         if role == "weight":
-            if layer.kind == "conv":
-                k = layer.kernel
-                shape = (layer.out_ch, layer.in_ch, k, k)
-                fan_in = layer.in_ch * k * k
-                fan_out = layer.out_ch * k * k
-            else:
-                shape = (layer.out_ch, layer.in_ch)
-                fan_in, fan_out = layer.in_ch, layer.out_ch
-            bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
+            taps = math.prod(shape[2:])  # k*k for a conv, 1 for a linear layer
+            bound = float(np.sqrt(6.0 / (shape[1] * taps + shape[0] * taps)))
             rng = derive(seed, f"init.{name}")
             data = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-            params[name] = Tensor(data, requires_grad=True)
-        elif role == "bias" or role == "beta":
-            size = layer.out_ch if role == "bias" else layer.in_ch
-            params[name] = Tensor(np.zeros(size, dtype=np.float32), requires_grad=True)
-        elif role == "gamma":
-            params[name] = Tensor(np.ones(layer.in_ch, dtype=np.float32), requires_grad=True)
-        elif role == "running_mean":
-            params[name] = Tensor(np.zeros(layer.in_ch, dtype=np.float32))
-        elif role == "running_var":
-            params[name] = Tensor(np.ones(layer.in_ch, dtype=np.float32))
+        elif role in ("gamma", "running_var"):
+            data = np.ones(shape, dtype=np.float32)
+        else:
+            data = np.zeros(shape, dtype=np.float32)
+        params[name] = Tensor(data, requires_grad=role in _TRAINABLE_ROLES)
     return params
 
 
@@ -380,34 +336,29 @@ def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mod
 
     Only a train-mode forward without the softmax takes a tape: nothing
     trains through the rest.  An eval-mode forward folds each batchnorm into
-    the conv in front of it (``_fold_batchnorm``): one ``ops.conv2d`` call
-    per conv block, no batchnorm pass, every relu applied in place on the
-    fresh output before it.  Its outputs match the unfolded
-    ``ops.batchnorm2d``/``ops.relu`` path to float32 rounding, also at a
-    ``stop_after`` inside a block.
+    the conv in front of it (``_fold_batchnorm``; every conv of a canonical
+    stack feeds one): one ``ops.conv2d`` call per conv block, no batchnorm
+    pass, every relu applied in place on the fresh output before it.  Its
+    outputs match the unfolded ``ops.batchnorm2d``/``ops.relu`` path to
+    float32 rounding, also at a ``stop_after`` inside a block.
     """
     if tape is not None and (mode == "eval" or with_softmax):
         raise ValueError("only a train-mode forward without the softmax takes a tape")
     fold = mode == "eval"
-    folded = False  # whether the batchnorm at the next index is already applied
     cur = x
     for i, layer in enumerate(spec.layers):
         prefix = f"{i:02d}"
         if layer.kind == "conv":
             w, b = params[f"{prefix}.weight"], params[f"{prefix}.bias"]
-            folded = (fold and stop_after != i and i + 1 < len(spec.layers)
-                      and spec.layers[i + 1].kind == "batchnorm")
-            if folded:
+            if fold and stop_after != i:
                 w, b = _fold_batchnorm(w, b, params, f"{i + 1:02d}")
             cur = ops.conv2d(cur, w, b, stride=layer.stride, padding=layer.padding, tape=tape)
-        elif layer.kind == "batchnorm":
-            if not folded:
-                cur = ops.batchnorm2d(cur, params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
-                                      params[f"{prefix}.running_mean"],
-                                      params[f"{prefix}.running_var"], mode, tape=tape)
-            folded = False
+        elif layer.kind == "batchnorm" and not fold:
+            cur = ops.batchnorm2d(cur, params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
+                                  params[f"{prefix}.running_mean"],
+                                  params[f"{prefix}.running_var"], mode, tape=tape)
         elif layer.kind == "relu":
-            if fold and cur is not x:
+            if fold:
                 np.maximum(cur.data, 0, out=cur.data)
             else:
                 cur = ops.relu(cur, tape=tape)
@@ -464,8 +415,6 @@ def extract_features(spec: NetworkSpec, params: dict[str, Tensor], patches: Tens
     """Feature maps (N, C, k/8, k/8): the batchnorm+relu output of the final
     1x1 conv, bypassing the pooled classifier head.  Always eval mode."""
     _check_patch_input(spec, patches)
-    if spec.feature_cut is None:
-        raise ValueError("spec has no feature_cut layer")
     return network_forward(spec, params, patches, "eval", stop_after=spec.feature_cut)
 
 

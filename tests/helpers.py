@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+from pathlib import Path
+
 import numpy as np
 
 from histopatch import ops
 from histopatch.autodiff import Tape
 from histopatch.geometry import LayerGeom
+from histopatch.model import _param_entries
 from histopatch.tensor import Tensor
 
 
@@ -130,3 +136,66 @@ def gradient_support(geoms: list[LayerGeom], out_x: int,
     tape.backward(cur, seed=seed)
     cols = np.nonzero(np.abs(x.grad).sum(axis=(0, 1, 2)) > 0)[0]
     return int(cols[0]), int(cols[-1])
+
+
+def write_hpck(path, kind: int, header, tensors, version: int = 1) -> None:
+    """Write a CRC-valid HPCK file from its parts: the kind byte, the header
+    (any JSON value) and a list of (name, array), where a name given as
+    bytes is written as it is.  Lets a test craft what the loader judges."""
+    body = bytearray(b"HPCK" + struct.pack("<HB", version, kind))
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body += struct.pack("<I", len(raw)) + raw + struct.pack("<I", len(tensors))
+    for name, array in tensors:
+        encoded = name if isinstance(name, bytes) else name.encode("utf-8")
+        body += struct.pack("<H", len(encoded)) + encoded
+        body += struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape)
+        body += np.ascontiguousarray(array, dtype="<f4").tobytes()
+    body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    Path(path).write_bytes(bytes(body))
+
+
+def checkpoint_parts(spec, params, meta: dict | None = None):
+    """(header, tensors) as ``save_checkpoint`` writes them, to alter."""
+    header = {"spec": spec.to_dict(), "meta": meta or {}}
+    return header, [(name, params[name].data) for name, _, _ in _param_entries(spec)]
+
+
+def _with_spec(header, **changes):
+    return {**header, "spec": {**header["spec"], **changes}}
+
+
+def _without_m7(header, tensors):
+    """Image-wise parts with the 1x1 M7 block (layers 18-20) cut out and the
+    first linear layer widened to M6's 256 channels: a consistent network,
+    but not the canonical stack for the stored sizes."""
+    layers = header["spec"]["layers"][:18] + header["spec"]["layers"][21:]
+    layers[19] = {**layers[19], "in_ch": 256}
+    out = []
+    for name, array in tensors:
+        i = int(name[:2])
+        if 18 <= i <= 20:
+            continue
+        name = f"{i - 3:02d}{name[2:]}" if i > 20 else name
+        out.append((name, np.full((256, 256), 0.01, np.float32) if name == "19.weight"
+                    else array))
+    return _with_spec(header, layers=layers), out
+
+
+# Malformed checkpoints, each a change to the (header, tensors) of a valid
+# one: patch-wise ones apply to any patch-wise checkpoint, IMAGEWISE_BAD to
+# an image-wise one.  The loader must refuse every one.
+PATCHWISE_BAD = {
+    "5x5 kernel under a 3x3 spec": lambda h, t: (h, [
+        (n, np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1))) if n == "03.weight" else a)
+        for n, a in t]),
+    "duplicate name": lambda h, t: (h, t + [(t[0][0], -t[0][1])]),
+    "missing tensor": lambda h, t: (h, t[:-1]),
+    "extra tensor": lambda h, t: (h, t + [("99.weight", t[0][1])]),
+    "meta is not an object": lambda h, t: ({**h, "meta": 5}, t),
+    "name is not UTF-8": lambda h, t: (h, [(b"\xff" + t[0][0].encode()[1:], t[0][1])] + t[1:]),
+    "base_width is a string": lambda h, t: (_with_spec(h, base_width="8"), t),
+    "base_width is a bool": lambda h, t: (_with_spec(h, base_width=True), t),
+    "base_width is 0": lambda h, t: (_with_spec(h, base_width=0), t),
+    "layers hold a number": lambda h, t: (_with_spec(h, layers=[5]), t),
+}
+IMAGEWISE_BAD = {"M7 block removed": _without_m7}

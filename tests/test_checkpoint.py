@@ -1,9 +1,6 @@
 """Checkpoint persistence: bit-exact round-trips, checksum verification,
 and rejection of malformed or mismatched files."""
 
-import struct
-import zlib
-
 import numpy as np
 import pytest
 
@@ -20,12 +17,21 @@ from histopatch.model import (
     init_params,
     trainable_names,
 )
+from histopatch.tensor import Tensor
+
+from helpers import IMAGEWISE_BAD, PATCHWISE_BAD, checkpoint_parts, write_hpck
 
 
 @pytest.fixture(scope="module")
 def small_pw():
     spec = canonical_patchwise_spec(base_width=2, feature_depth=3)
     return spec, init_params(spec, seed=0)
+
+
+@pytest.fixture(scope="module")
+def small_iw():
+    spec = canonical_imagewise_spec(n_patches=2, feature_depth=2, head_depth=8)
+    return spec, init_params(spec, seed=1)
 
 
 def test_roundtrip_restores_everything(tmp_path, small_pw):
@@ -128,15 +134,61 @@ def test_tiny_file(tmp_path):
 
 
 def test_unsupported_version(tmp_path, small_pw):
-    spec, params = small_pw
     path = tmp_path / "pw.ckpt"
-    save_checkpoint(path, spec, params)
-    raw = bytearray(path.read_bytes())
-    raw[4:6] = struct.pack("<H", 9)
-    body = bytes(raw[:-4])
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    write_hpck(path, 0, *checkpoint_parts(*small_pw), version=9)
     with pytest.raises(CheckpointFormatError, match="version"):
         load_checkpoint(path)
+
+
+def test_crafting_helper_writes_what_save_writes(tmp_path, small_pw):
+    spec, params = small_pw
+    saved, crafted = tmp_path / "saved.ckpt", tmp_path / "crafted.ckpt"
+    save_checkpoint(saved, spec, params, {"seed": 3})
+    write_hpck(crafted, 0, *checkpoint_parts(spec, params, {"seed": 3}))
+    assert crafted.read_bytes() == saved.read_bytes()
+
+
+# the error each PATCHWISE_BAD case must raise, for the base_width=2,
+# feature_depth=3 stack (98 tensors)
+_PATCHWISE_ERRORS = {
+    "5x5 kernel under a 3x3 spec":
+        r"stored tensor 03\.weight \[2, 2, 5, 5\] where the network spec has "
+        r"03\.weight \[2, 2, 3, 3\]",
+    "duplicate name": "99 tensors stored but the network spec has 98",
+    "missing tensor": "97 tensors stored but the network spec has 98",
+    "extra tensor": "99 tensors stored but the network spec has 98",
+    "meta is not an object": "header and its meta must be JSON objects",
+    "name is not UTF-8": "tensor name is not UTF-8",
+    "base_width is a string": "base_width must be an integer, got '8'",
+    "base_width is a bool": "base_width must be an integer, got True",
+    "base_width is 0": "base_width and feature_depth must be >= 1",
+    "layers hold a number": "not the canonical patchwise stack",
+}
+
+
+@pytest.mark.parametrize("case", list(PATCHWISE_BAD))
+def test_malformed_patchwise_file_refused(tmp_path, small_pw, case):
+    path = tmp_path / "bad.ckpt"
+    write_hpck(path, 0, *PATCHWISE_BAD[case](*checkpoint_parts(*small_pw)))
+    with pytest.raises(CheckpointFormatError, match=_PATCHWISE_ERRORS[case]):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", list(IMAGEWISE_BAD))
+def test_malformed_imagewise_file_refused(tmp_path, small_iw, case):
+    path = tmp_path / "bad.ckpt"
+    write_hpck(path, 1, *IMAGEWISE_BAD[case](*checkpoint_parts(*small_iw)))
+    with pytest.raises(CheckpointFormatError, match="not the canonical imagewise stack"):
+        load_checkpoint(path)
+
+
+def test_misshapen_param_refused_on_save(tmp_path, small_pw):
+    spec, params = small_pw
+    bad = dict(params)
+    bad["03.weight"] = Tensor(np.zeros((2, 2, 5, 5), np.float32))
+    with pytest.raises(CheckpointError, match="03.weight"):
+        save_checkpoint(tmp_path / "bad.ckpt", spec, bad)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_param_on_save(tmp_path, small_pw):

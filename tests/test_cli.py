@@ -9,6 +9,8 @@ import pytest
 from histopatch.checkpoint import load_checkpoint, save_checkpoint
 from histopatch.data import load_manifest, read_ppm, synth_dataset
 
+from helpers import IMAGEWISE_BAD, PATCHWISE_BAD, checkpoint_parts, write_hpck
+
 
 def out_json(proc):
     return json.loads(proc.stdout)
@@ -319,21 +321,44 @@ class TestInferCommand:
                 "--image-checkpoint", tiny_cli_artifacts["image_ckpt"],
                 "--image", image, expect=4)
 
-    @pytest.mark.parametrize("command", ["infer", "eval"])
+    @pytest.mark.parametrize("command", ["infer", "eval", "train-image"])
     def test_checkpoint_without_norm_stats_exits_4(self, run_cli, tiny_cli_artifacts,
                                                    tmp_path, command):
         spec, params, _ = load_checkpoint(tiny_cli_artifacts["patch_ckpt"])
         bare = tmp_path / "bare.ckpt"
-        save_checkpoint(bare, spec, params, {"seed": 0})
-        target = (("--image", tiny_cli_artifacts["data"] / "c0_000.ppm") if command == "infer"
-                  else ("--manifest", tiny_cli_artifacts["manifest"]))
-        proc = run_cli(command, "--patch-checkpoint", bare,
-                       "--image-checkpoint", tiny_cli_artifacts["image_ckpt"], *target,
-                       expect=4)
+        save_checkpoint(bare, spec, params, {"seed": 0, "window": 64})
+        target = {"infer": ("--image-checkpoint", tiny_cli_artifacts["image_ckpt"],
+                            "--image", tiny_cli_artifacts["data"] / "c0_000.ppm"),
+                  "eval": ("--image-checkpoint", tiny_cli_artifacts["image_ckpt"],
+                           "--manifest", tiny_cli_artifacts["manifest"]),
+                  "train-image": ("--manifest", tiny_cli_artifacts["manifest"],
+                                  "--out", tmp_path / "run")}[command]
+        proc = run_cli(command, "--patch-checkpoint", bare, *target, expect=4)
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
             f"error: patch-wise checkpoint {bare} holds no usable norm_mean/norm_std: "
             "stats mean must be 3 finite numbers, got null"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("case", ["5x5 kernel under a 3x3 spec", "duplicate name",
+                                      "meta is not an object", "name is not UTF-8",
+                                      "M7 block removed"])
+    def test_malformed_checkpoint_exits_4(self, run_cli, tiny_cli_artifacts, tmp_path,
+                                          case):
+        stage = "image" if case in IMAGEWISE_BAD else "patch"
+        spec, params, meta = load_checkpoint(tiny_cli_artifacts[f"{stage}_ckpt"])
+        craft = IMAGEWISE_BAD.get(case) or PATCHWISE_BAD[case]
+        bad = tmp_path / "bad.ckpt"
+        write_hpck(bad, int(stage == "image"), *craft(*checkpoint_parts(spec, params, meta)))
+        pair = {"patch_ckpt": tiny_cli_artifacts["patch_ckpt"],
+                "image_ckpt": tiny_cli_artifacts["image_ckpt"], f"{stage}_ckpt": bad}
+        proc = run_cli("infer", "--patch-checkpoint", pair["patch_ckpt"],
+                       "--image-checkpoint", pair["image_ckpt"],
+                       "--image", tiny_cli_artifacts["data"] / "c0_000.ppm",
+                       "--window", "64", expect=4)
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
 
     def test_garbage_image_exits_3(self, run_cli, tiny_cli_artifacts, tmp_path):
         bad = tmp_path / "bad.ppm"

@@ -94,8 +94,50 @@ class TestCanonicalImagewise:
             canonical_imagewise_spec(dropout_rate=1.0)
 
     def test_roundtrip_through_dict(self):
-        spec = canonical_imagewise_spec(n_patches=12, feature_depth=8, head_depth=32)
+        spec = canonical_imagewise_spec(n_patches=12, feature_depth=8, head_depth=32,
+                                        dropout_rate=0.25)
         assert NetworkSpec.from_dict(spec.to_dict()) == spec
+
+
+def _spec_dict(stack: str, layer: int | None = None, insert: dict | None = None,
+               **changes) -> dict:
+    """A small canonical spec's ``to_dict``, with ``changes`` applied to the
+    spec (or to layer ``layer``) and ``insert`` put in front of ``layer``."""
+    spec = (canonical_patchwise_spec(base_width=4, feature_depth=4) if stack == "patchwise"
+            else canonical_imagewise_spec(n_patches=2, feature_depth=2, head_depth=8))
+    d = spec.to_dict()
+    if layer is None:
+        return {**d, **changes}
+    layers = list(d["layers"])
+    layers[layer] = {**layers[layer], **changes}
+    if insert is not None:
+        layers.insert(layer, insert)
+    return {**d, "layers": layers}
+
+
+class TestSpecFromDict:
+    """``NetworkSpec.from_dict`` rebuilds a canonical stack from the stored
+    sizes and refuses anything else with a ValueError, never another error."""
+
+    @pytest.mark.parametrize("d", [
+        _spec_dict("patchwise", layer=3, kernel=5),
+        _spec_dict("patchwise", layer=3, insert={"kind": "relu"}),
+        _spec_dict("imagewise", layer=27, rate=0.25),
+        _spec_dict("imagewise", layer=24, rate=None),
+        _spec_dict("patchwise", base_width="8"),
+        _spec_dict("patchwise", base_width=True),
+        _spec_dict("patchwise", base_width=0),
+        _spec_dict("patchwise", n_classes=5),
+        _spec_dict("imagewise", layers=[5]),
+        _spec_dict("imagewise", n_patches=None),
+        _spec_dict("patchwise", kind="densenet"),
+        5,
+    ], ids=["kernel changed", "extra relu", "two dropout rates", "null rate",
+            "base_width string", "base_width bool", "base_width 0", "n_classes 5",
+            "layers hold a number", "n_patches null", "unknown kind", "not an object"])
+    def test_non_canonical_spec_refused(self, d):
+        with pytest.raises(ValueError):
+            NetworkSpec.from_dict(d)
 
 
 class TestInitParams:
