@@ -2,14 +2,16 @@
 
 Layout (all integers little-endian):
 
-    magic "HPCK" | u16 version (=1) | u8 kind (0 patchwise, 1 imagewise)
+    magic "HPCK" | u16 version (=2) | u8 kind (0 patchwise, 1 imagewise)
     | u32 header_len | header JSON | u32 n_params
     | per param: u16 name_len | name utf-8 | u8 rank | rank * u32 dims
                  | float32 payload (row-major)
     | u32 crc32 over everything before it
 
 The header JSON carries {"spec": ..., "meta": ...} in canonical form (sorted
-keys, no whitespace) so identical inputs serialize to identical bytes.
+keys, no whitespace) so identical inputs serialize to identical bytes.  The
+spec is the network's kind and sizes (``NetworkSpec.to_dict``); version 1
+headers also listed every layer and do not load.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ __all__ = [
 ]
 
 MAGIC = b"HPCK"
-VERSION = 1
+VERSION = 2
 _KIND_CODES = {"patchwise": 0, "imagewise": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
@@ -144,7 +146,7 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None
     r.take(len(MAGIC))
     version = r.u16()
     if version != VERSION:
-        raise CheckpointFormatError(f"unsupported version {version}")
+        raise CheckpointFormatError(f"unsupported version {version} (this build reads {VERSION})")
     kind_code = r.u8()
     if kind_code not in _KIND_NAMES:
         raise CheckpointFormatError(f"unknown network kind code {kind_code}")

@@ -301,10 +301,16 @@ def _check_window(window: int) -> None:
 def _tiling(cfg: dict, explicit: set[str], meta: dict) -> dict:
     """``cfg`` with the tiling actually used, for the stage-two commands: the
     patch checkpoint's window unless --window was given, tiled without
-    overlap, so the stride echoed is the window too."""
+    overlap, so the stride echoed is the window too.  A stored window that
+    is not a JSON integer is a ``CheckpointError``."""
+    from .checkpoint import CheckpointError
+
     window = cfg["window"]
     if "window" not in explicit:
-        window = int(meta.get("window", window))
+        window = meta.get("window", window)
+        if type(window) is not int:
+            raise CheckpointError(f"patch-wise checkpoint {cfg['patch_checkpoint']} holds "
+                                  f"window {window!r}, not an integer")
     _check_window(window)
     return {**cfg, "window": window, "stride": window}
 

@@ -18,7 +18,7 @@ ride in one eval forward is set by an activation-byte budget alone; see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,7 @@ from .rng import derive
 from .tensor import Tensor
 
 __all__ = [
-    "LayerSpec",
+    "ConvBlock",
     "NetworkSpec",
     "canonical_patchwise_spec",
     "canonical_imagewise_spec",
@@ -65,65 +65,45 @@ EVAL_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    """One layer record.  in_ch/out_ch are channels for conv and feature
-    counts for linear layers."""
+class ConvBlock:
+    """One conv -> batchnorm -> relu block; every conv of both stacks is one."""
 
-    kind: str  # conv | batchnorm | relu | dropout | global_avg_pool | linear | softmax
-    in_ch: int | None = None
-    out_ch: int | None = None
-    kernel: int | None = None
-    stride: int = 1
-    padding: int = 0
-    rate: float | None = None
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind in ("conv", "linear"):
-            d["in_ch"] = self.in_ch
-            d["out_ch"] = self.out_ch
-        if self.kind == "conv":
-            d["kernel"] = self.kernel
-            d["stride"] = self.stride
-            d["padding"] = self.padding
-        if self.kind == "batchnorm":
-            d["in_ch"] = self.in_ch
-        if self.kind == "dropout":
-            d["rate"] = self.rate
-        return d
+    in_ch: int
+    out_ch: int
+    kernel: int
+    stride: int
+    padding: int
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Declarative description of a network; everything else derives from it.
-    Built only by ``canonical_patchwise_spec``/``canonical_imagewise_spec``
-    (``from_dict`` rebuilds through them), so every conv feeds a
-    batchnorm+relu."""
+    """One of the paper's two stacks, named by its sizes.  Built only by
+    ``canonical_patchwise_spec``/``canonical_imagewise_spec`` (``from_dict``
+    rebuilds through them), which derive ``blocks`` and ``head`` (the output
+    widths of the linear layers after global average pooling) from the sizes."""
 
     kind: str  # "patchwise" | "imagewise"
-    layers: tuple[LayerSpec, ...]
     base_width: int | None = None
     feature_depth: int | None = None
     head_depth: int | None = None
     n_patches: int | None = None
-    feature_cut: int | None = None  # layer index whose output is the feature map
-    n_classes: int = N_CLASSES
+    dropout_rate: float | None = None
+    blocks: tuple[ConvBlock, ...] = field(default=(), compare=False, repr=False)
+    head: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def conv_geoms(self) -> list[LayerGeom]:
-        return [LayerGeom(l.kernel, l.stride, l.padding)
-                for l in self.layers if l.kind == "conv"]
+        return [LayerGeom(b.kernel, b.stride, b.padding) for b in self.blocks]
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["layers"] = [l.to_dict() for l in self.layers]
-        return d
+        """The kind and the sizes that this kind has."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.compare and getattr(self, f.name) is not None}
 
     @staticmethod
     def from_dict(d) -> "NetworkSpec":
-        """Inverse of ``to_dict`` for the two canonical stacks, the only
-        networks there are: rebuild the spec from ``d``'s sizes (the
-        image-wise dropout rate from its first dropout layer) and raise
-        ``ValueError`` unless ``d`` is exactly that rebuild's ``to_dict()``."""
+        """Inverse of ``to_dict``: rebuild the canonical stack from ``d``'s
+        sizes and raise ``ValueError`` unless ``d`` is exactly that rebuild's
+        ``to_dict()``."""
         if not isinstance(d, dict):
             raise ValueError(f"network spec must be an object, got {type(d).__name__}")
 
@@ -136,11 +116,9 @@ class NetworkSpec:
         if d.get("kind") == "patchwise":
             spec = canonical_patchwise_spec(size("base_width"), size("feature_depth"))
         elif d.get("kind") == "imagewise":
-            layers = d["layers"] if isinstance(d.get("layers"), list) else []
-            rate = next((l.get("rate") for l in layers
-                         if isinstance(l, dict) and l.get("kind") == "dropout"), None)
+            rate = d.get("dropout_rate")
             if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-                raise ValueError(f"network spec dropout rate must be a number, got {rate!r}")
+                raise ValueError(f"network spec dropout_rate must be a number, got {rate!r}")
             spec = canonical_imagewise_spec(size("n_patches"), size("feature_depth"),
                                             size("head_depth"), rate)
         else:
@@ -150,14 +128,16 @@ class NetworkSpec:
         return spec
 
 
-def _conv_block(layers: list[LayerSpec], in_ch: int, out_ch: int, kernel: int,
-                stride: int, padding: int) -> int:
-    """Append conv + batchnorm + relu; every conv layer gets both."""
-    layers.append(LayerSpec("conv", in_ch=in_ch, out_ch=out_ch, kernel=kernel,
-                            stride=stride, padding=padding))
-    layers.append(LayerSpec("batchnorm", in_ch=out_ch))
-    layers.append(LayerSpec("relu"))
-    return out_ch
+def _chain(in_ch: int, *convs: tuple[int, int, int, int]) -> tuple[ConvBlock, ...]:
+    """Blocks from (out_ch, kernel, stride, padding), each fed by the one before."""
+    blocks = []
+    for out_ch, kernel, stride, padding in convs:
+        blocks.append(ConvBlock(in_ch, out_ch, kernel, stride, padding))
+        in_ch = out_ch
+    return tuple(blocks)
+
+
+_SAME, _DOWN = (3, 1, 1), (2, 2, 0)  # 3x3 conv keeping the map; 2x2 stride-2 halving it
 
 
 def canonical_patchwise_spec(base_width: int = 16, feature_depth: int = 16) -> NetworkSpec:
@@ -171,31 +151,13 @@ def canonical_patchwise_spec(base_width: int = 16, feature_depth: int = 16) -> N
     if base_width < 1 or feature_depth < 1:
         raise ValueError("base_width and feature_depth must be >= 1")
     b = base_width
-    layers: list[LayerSpec] = []
-    w = _conv_block(layers, 3, b, 3, 1, 1)            # L1
-    w = _conv_block(layers, w, b, 3, 1, 1)            # L2
-    w = _conv_block(layers, w, 2 * b, 2, 2, 0)        # L3, downsample
-    w = _conv_block(layers, w, 2 * b, 3, 1, 1)        # L4
-    w = _conv_block(layers, w, 2 * b, 3, 1, 1)        # L5
-    w = _conv_block(layers, w, 4 * b, 2, 2, 0)        # L6, downsample
-    w = _conv_block(layers, w, 4 * b, 3, 1, 1)        # L7
-    w = _conv_block(layers, w, 4 * b, 3, 1, 1)        # L8
-    w = _conv_block(layers, w, 8 * b, 2, 2, 0)        # L9, downsample
-    for _ in range(6):                                # L10..L15
-        w = _conv_block(layers, w, 8 * b, 3, 1, 1)
-    w = _conv_block(layers, w, feature_depth, 1, 1, 0)  # L16, 1x1 feature head
-    feature_cut = len(layers) - 1                     # after L16's relu
-    layers.append(LayerSpec("global_avg_pool"))
-    layers.append(LayerSpec("linear", in_ch=feature_depth, out_ch=N_CLASSES))
-    layers.append(LayerSpec("softmax"))
-
-    spec = NetworkSpec(
-        kind="patchwise",
-        layers=tuple(layers),
-        base_width=base_width,
-        feature_depth=feature_depth,
-        feature_cut=feature_cut,
-    )
+    blocks = _chain(3, (b, *_SAME), (b, *_SAME), (2 * b, *_DOWN),       # L1-L3
+                    (2 * b, *_SAME), (2 * b, *_SAME), (4 * b, *_DOWN),  # L4-L6
+                    (4 * b, *_SAME), (4 * b, *_SAME), (8 * b, *_DOWN),  # L7-L9
+                    *[(8 * b, *_SAME)] * 6,                           # L10-L15
+                    (feature_depth, 1, 1, 0))                        # L16, 1x1 feature head
+    spec = NetworkSpec("patchwise", base_width=base_width, feature_depth=feature_depth,
+                       blocks=blocks, head=(N_CLASSES,))
     # construction-time pins: map size halves three times, receptive field
     # and jump of the conv stack are fixed by the layer-type sequence
     geoms = spec.conv_geoms()
@@ -218,31 +180,12 @@ def canonical_imagewise_spec(n_patches: int = 12, feature_depth: int = 16,
         raise ValueError("n_patches, feature_depth and head_depth must be >= 1")
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
-    layers: list[LayerSpec] = []
-    w = _conv_block(layers, n_patches * feature_depth, 64, 3, 1, 1)   # M1
-    w = _conv_block(layers, w, 64, 3, 1, 1)                           # M2
-    w = _conv_block(layers, w, 128, 2, 2, 0)                          # M3, downsample
-    w = _conv_block(layers, w, 128, 3, 1, 1)                          # M4
-    w = _conv_block(layers, w, 128, 3, 1, 1)                          # M5
-    w = _conv_block(layers, w, 256, 2, 2, 0)                          # M6, downsample
-    w = _conv_block(layers, w, head_depth, 1, 1, 0)                   # M7, 1x1
-    layers.append(LayerSpec("global_avg_pool"))
-    layers.append(LayerSpec("linear", in_ch=head_depth, out_ch=256))
-    layers.append(LayerSpec("relu"))
-    layers.append(LayerSpec("dropout", rate=dropout_rate))
-    layers.append(LayerSpec("linear", in_ch=256, out_ch=128))
-    layers.append(LayerSpec("relu"))
-    layers.append(LayerSpec("dropout", rate=dropout_rate))
-    layers.append(LayerSpec("linear", in_ch=128, out_ch=N_CLASSES))
-    layers.append(LayerSpec("softmax"))
-
-    spec = NetworkSpec(
-        kind="imagewise",
-        layers=tuple(layers),
-        feature_depth=feature_depth,
-        head_depth=head_depth,
-        n_patches=n_patches,
-    )
+    blocks = _chain(n_patches * feature_depth, (64, *_SAME), (64, *_SAME), (128, *_DOWN),  # M1-M3
+                    (128, *_SAME), (128, *_SAME), (256, *_DOWN),                          # M4-M6
+                    (head_depth, 1, 1, 0))                                             # M7, 1x1
+    spec = NetworkSpec("imagewise", feature_depth=feature_depth, head_depth=head_depth,
+                       n_patches=n_patches, dropout_rate=dropout_rate,
+                       blocks=blocks, head=(256, 128, N_CLASSES))
     # the combined conv stacks of both networks must give receptive field 252
     combined = canonical_patchwise_spec().conv_geoms() + spec.conv_geoms()
     assert receptive_field(combined) == RFState(r=252, jump=32)
@@ -267,18 +210,32 @@ def check_window(window: int) -> None:
 # ---------------------------------------------------------------------------
 # parameters
 
+def _prefixes(spec: NetworkSpec) -> tuple[list[tuple[str, str]], list[int]]:
+    """Tensor-name prefixes, numbered as if every op of the stack were a
+    layer: block k's conv and batchnorm are 3k and 3k+1, and after the pool
+    head linear j is 3*len(blocks) + 1 + 3j, with the dropout in front of it
+    (image-wise, j > 0) one below.  Init and dropout streams are keyed by
+    these numbers.  Returns the (conv, batchnorm) prefixes and the linears'
+    numbers."""
+    n = len(spec.blocks)
+    return ([(f"{3 * k:02d}", f"{3 * k + 1:02d}") for k in range(n)],
+            [3 * n + 1 + 3 * j for j in range(len(spec.head))])
+
+
 def _param_entries(spec: NetworkSpec):
     """Yield (name, role, shape) for every tensor a network spec owns, in
     checkpoint order: the one table of tensor names and shapes."""
-    for i, layer in enumerate(spec.layers):
-        prefix = f"{i:02d}"
-        if layer.kind == "conv" or layer.kind == "linear":
-            k = (layer.kernel, layer.kernel) if layer.kind == "conv" else ()
-            yield f"{prefix}.weight", "weight", (layer.out_ch, layer.in_ch, *k)
-            yield f"{prefix}.bias", "bias", (layer.out_ch,)
-        elif layer.kind == "batchnorm":
-            for role in ("gamma", "beta", "running_mean", "running_var"):
-                yield f"{prefix}.{role}", role, (layer.in_ch,)
+    convs, linears = _prefixes(spec)
+    for block, (conv, bn) in zip(spec.blocks, convs):
+        yield f"{conv}.weight", "weight", (block.out_ch, block.in_ch, block.kernel, block.kernel)
+        yield f"{conv}.bias", "bias", (block.out_ch,)
+        for role in ("gamma", "beta", "running_mean", "running_var"):
+            yield f"{bn}.{role}", role, (block.out_ch,)
+    in_ch = spec.blocks[-1].out_ch
+    for i, out_ch in zip(linears, spec.head):
+        yield f"{i:02d}.weight", "weight", (out_ch, in_ch)
+        yield f"{i:02d}.bias", "bias", (out_ch,)
+        in_ch = out_ch
 
 
 _TRAINABLE_ROLES = ("weight", "bias", "gamma", "beta")
@@ -327,54 +284,54 @@ def _fold_batchnorm(w: Tensor, b: Tensor, params: dict[str, Tensor],
 
 def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mode: str,
                     tape: Tape | None = None, dropout_rng: DropoutRngFactory | None = None,
-                    stop_after: int | None = None, with_softmax: bool = False) -> Tensor:
-    """Run the layer stack on ``x``.
+                    features: bool = False, with_softmax: bool = False) -> Tensor:
+    """Run the stack on ``x`` in ``mode`` "train" or "eval".
 
-    ``stop_after`` returns the output of that layer index (feature
-    extraction).  The trailing softmax is skipped unless ``with_softmax`` —
-    training reads raw logits.  Dropout is active only in train mode.
+    ``features`` returns the last block's output (feature extraction).  The
+    softmax runs only ``with_softmax``: training reads raw logits.  Between
+    the head's linears come a relu and, in train mode, dropout.
 
     Only a train-mode forward without the softmax takes a tape: nothing
-    trains through the rest.  An eval-mode forward folds each batchnorm into
-    the conv in front of it (``_fold_batchnorm``; every conv of a canonical
-    stack feeds one): one ``ops.conv2d`` call per conv block, no batchnorm
-    pass, every relu applied in place on the fresh output before it.  Its
-    outputs match the unfolded ``ops.batchnorm2d``/``ops.relu`` path to
-    float32 rounding, also at a ``stop_after`` inside a block.
+    trains through the rest.  A train-mode block runs ``ops.conv2d``,
+    ``ops.batchnorm2d`` and ``ops.relu``.  An eval-mode block folds its
+    batchnorm into its conv (``_fold_batchnorm``): one ``ops.conv2d`` call,
+    no batchnorm pass, and the relu applied in place on its fresh output, as
+    are the head's.  Its outputs match the unfolded ops to float32 rounding.
     """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if tape is not None and (mode == "eval" or with_softmax):
         raise ValueError("only a train-mode forward without the softmax takes a tape")
-    fold = mode == "eval"
+
+    def relu(t: Tensor) -> Tensor:
+        if mode == "train":
+            return ops.relu(t, tape=tape)
+        np.maximum(t.data, 0, out=t.data)
+        return t
+
+    convs, linears = _prefixes(spec)
     cur = x
-    for i, layer in enumerate(spec.layers):
-        prefix = f"{i:02d}"
-        if layer.kind == "conv":
-            w, b = params[f"{prefix}.weight"], params[f"{prefix}.bias"]
-            if fold and stop_after != i:
-                w, b = _fold_batchnorm(w, b, params, f"{i + 1:02d}")
-            cur = ops.conv2d(cur, w, b, stride=layer.stride, padding=layer.padding, tape=tape)
-        elif layer.kind == "batchnorm" and not fold:
-            cur = ops.batchnorm2d(cur, params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
-                                  params[f"{prefix}.running_mean"],
-                                  params[f"{prefix}.running_var"], mode, tape=tape)
-        elif layer.kind == "relu":
-            if fold:
-                np.maximum(cur.data, 0, out=cur.data)
-            else:
-                cur = ops.relu(cur, tape=tape)
-        elif layer.kind == "dropout" and mode == "train":
-            rng = None if dropout_rng is None else dropout_rng(i)
-            cur = ops.dropout(cur, layer.rate, rng=rng, tape=tape)
-        elif layer.kind == "global_avg_pool":
-            cur = ops.global_avg_pool(cur, tape=tape)
-        elif layer.kind == "linear":
-            cur = ops.linear(cur, params[f"{prefix}.weight"], params[f"{prefix}.bias"],
-                             tape=tape)
-        elif layer.kind == "softmax" and with_softmax:
-            cur = ops.softmax(cur)
-        if stop_after is not None and i == stop_after:
-            return cur
-    return cur
+    for block, (conv, bn) in zip(spec.blocks, convs):
+        w, b = params[f"{conv}.weight"], params[f"{conv}.bias"]
+        if mode == "eval":
+            w, b = _fold_batchnorm(w, b, params, bn)
+        cur = ops.conv2d(cur, w, b, stride=block.stride, padding=block.padding, tape=tape)
+        if mode == "train":
+            cur = ops.batchnorm2d(cur, params[f"{bn}.gamma"], params[f"{bn}.beta"],
+                                  params[f"{bn}.running_mean"], params[f"{bn}.running_var"],
+                                  mode, tape=tape)
+        cur = relu(cur)
+    if features:
+        return cur
+    cur = ops.global_avg_pool(cur, tape=tape)
+    for j, i in enumerate(linears):
+        if j:
+            cur = relu(cur)
+            if mode == "train":
+                rng = None if dropout_rng is None else dropout_rng(i - 1)
+                cur = ops.dropout(cur, spec.dropout_rate, rng=rng, tape=tape)
+        cur = ops.linear(cur, params[f"{i:02d}.weight"], params[f"{i:02d}.bias"], tape=tape)
+    return ops.softmax(cur) if with_softmax else cur
 
 
 def eval_batch_size(spec: NetworkSpec, sample_shape: tuple[int, int, int]) -> int:
@@ -386,8 +343,7 @@ def eval_batch_size(spec: NetworkSpec, sample_shape: tuple[int, int, int]) -> in
     c, h, w = sample_shape
     geoms = spec.conv_geoms()
     areas = [a * b for a, b in zip(output_size(geoms, h), output_size(geoms, w))]
-    widths = [l.out_ch for l in spec.layers if l.kind == "conv"]
-    widest = max([c * h * w] + [o * a for o, a in zip(widths, areas)])
+    widest = max([c * h * w] + [b.out_ch * a for b, a in zip(spec.blocks, areas)])
     return max(1, EVAL_BYTES // (widest * np.dtype(np.float32).itemsize))
 
 
@@ -415,7 +371,7 @@ def extract_features(spec: NetworkSpec, params: dict[str, Tensor], patches: Tens
     """Feature maps (N, C, k/8, k/8): the batchnorm+relu output of the final
     1x1 conv, bypassing the pooled classifier head.  Always eval mode."""
     _check_patch_input(spec, patches)
-    return network_forward(spec, params, patches, "eval", stop_after=spec.feature_cut)
+    return network_forward(spec, params, patches, "eval", features=True)
 
 
 def image_feature_stack(pw_spec: NetworkSpec, pw_params: dict[str, Tensor],

@@ -299,16 +299,14 @@ def _fit(spec: NetworkSpec, config: TrainConfig, labels: np.ndarray,
 
 def _result(spec: NetworkSpec, config: TrainConfig, manifest: Manifest,
             params: dict[str, Tensor], metrics: Metrics) -> TrainResult:
-    """Bundle a fitted network with the provenance its checkpoint carries:
-    the spec's sizes, the run's settings, norm stats and the outcome."""
-    sizes = ("base_width", "feature_depth", "head_depth", "n_patches")
-    meta = {k: getattr(spec, k) for k in sizes if getattr(spec, k) is not None}
-    settings = ("window", "seed", "lr", "momentum", "batch_size", "max_epochs", "patience",
-                "stride" if spec.kind == "patchwise" else "dropout_rate")
-    meta.update((k, getattr(config, k)) for k in settings)
-    meta.update(stage=spec.kind, norm_mean=list(manifest.stats.mean),
-                norm_std=list(manifest.stats.std), best_epoch=metrics.best_epoch,
-                val_acc=metrics.accuracy)
+    """Bundle a fitted network with the provenance its checkpoint carries
+    beside the spec: the run's settings, norm stats and the outcome."""
+    settings = ["window", "seed", "lr", "momentum", "batch_size", "max_epochs", "patience"]
+    if spec.kind == "patchwise":
+        settings.append("stride")
+    meta = {k: getattr(config, k) for k in settings}
+    meta.update(norm_mean=list(manifest.stats.mean), norm_std=list(manifest.stats.std),
+                best_epoch=metrics.best_epoch, val_acc=metrics.accuracy)
     return TrainResult(spec=spec, params=params, meta=meta, metrics=metrics)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from histopatch import ops
+from histopatch import checkpoint, ops
 from histopatch.autodiff import Tape
 from histopatch.geometry import LayerGeom
 from histopatch.model import _param_entries
@@ -138,7 +138,8 @@ def gradient_support(geoms: list[LayerGeom], out_x: int,
     return int(cols[0]), int(cols[-1])
 
 
-def write_hpck(path, kind: int, header, tensors, version: int = 1) -> None:
+def write_hpck(path, kind: int, header, tensors,
+               version: int = checkpoint.VERSION) -> None:
     """Write a CRC-valid HPCK file from its parts: the kind byte, the header
     (any JSON value) and a list of (name, array), where a name given as
     bytes is written as it is.  Lets a test craft what the loader judges."""
@@ -165,20 +166,19 @@ def _with_spec(header, **changes):
 
 
 def _without_m7(header, tensors):
-    """Image-wise parts with the 1x1 M7 block (layers 18-20) cut out and the
-    first linear layer widened to M6's 256 channels: a consistent network,
-    but not the canonical stack for the stored sizes."""
-    layers = header["spec"]["layers"][:18] + header["spec"]["layers"][21:]
-    layers[19] = {**layers[19], "in_ch": 256}
+    """Image-wise tensors with the 1x1 M7 block (prefixes 18-19) cut out, the
+    linears renumbered down by 3 and the first one widened to M6's 256
+    channels: a consistent network, but not the canonical stack for the
+    stored sizes, which are left as they are."""
     out = []
     for name, array in tensors:
         i = int(name[:2])
-        if 18 <= i <= 20:
+        if i in (18, 19):
             continue
         name = f"{i - 3:02d}{name[2:]}" if i > 20 else name
         out.append((name, np.full((256, 256), 0.01, np.float32) if name == "19.weight"
                     else array))
-    return _with_spec(header, layers=layers), out
+    return header, out
 
 
 # Malformed checkpoints, each a change to the (header, tensors) of a valid
@@ -197,5 +197,14 @@ PATCHWISE_BAD = {
     "base_width is a bool": lambda h, t: (_with_spec(h, base_width=True), t),
     "base_width is 0": lambda h, t: (_with_spec(h, base_width=0), t),
     "layers hold a number": lambda h, t: (_with_spec(h, layers=[5]), t),
+    "n_classes is stored": lambda h, t: (_with_spec(h, n_classes=4), t),
 }
-IMAGEWISE_BAD = {"M7 block removed": _without_m7}
+IMAGEWISE_BAD = {
+    "M7 block removed": _without_m7,
+    "dropout_rate is a string": lambda h, t: (_with_spec(h, dropout_rate="0.5"), t),
+    "dropout_rate is a bool": lambda h, t: (_with_spec(h, dropout_rate=True), t),
+    "dropout_rate is 1.0": lambda h, t: (_with_spec(h, dropout_rate=1.0), t),
+    "dropout_rate missing": lambda h, t: ({**h, "spec": {
+        k: v for k, v in h["spec"].items() if k != "dropout_rate"}}, t),
+    "n_patches is null": lambda h, t: (_with_spec(h, n_patches=None), t),
+}

@@ -140,6 +140,21 @@ def test_unsupported_version(tmp_path, small_pw):
         load_checkpoint(path)
 
 
+def test_version_1_file_refused(tmp_path, small_pw):
+    # version 1 headers listed every layer; there is no loader for them
+    path = tmp_path / "pw.ckpt"
+    write_hpck(path, 0, *checkpoint_parts(*small_pw), version=1)
+    with pytest.raises(CheckpointFormatError,
+                       match=r"unsupported version 1 \(this build reads 2\)"):
+        load_checkpoint(path)
+
+
+def test_header_spec_is_kind_and_sizes(small_pw, small_iw):
+    assert small_pw[0].to_dict() == {"kind": "patchwise", "base_width": 2, "feature_depth": 3}
+    assert small_iw[0].to_dict() == {"kind": "imagewise", "n_patches": 2, "feature_depth": 2,
+                                     "head_depth": 8, "dropout_rate": 0.5}
+
+
 def test_crafting_helper_writes_what_save_writes(tmp_path, small_pw):
     spec, params = small_pw
     saved, crafted = tmp_path / "saved.ckpt", tmp_path / "crafted.ckpt"
@@ -163,6 +178,7 @@ _PATCHWISE_ERRORS = {
     "base_width is a bool": "base_width must be an integer, got True",
     "base_width is 0": "base_width and feature_depth must be >= 1",
     "layers hold a number": "not the canonical patchwise stack",
+    "n_classes is stored": "not the canonical patchwise stack",
 }
 
 
@@ -174,11 +190,23 @@ def test_malformed_patchwise_file_refused(tmp_path, small_pw, case):
         load_checkpoint(path)
 
 
+# the error each IMAGEWISE_BAD case must raise, for the n_patches=2,
+# feature_depth=2, head_depth=8 stack (48 tensors)
+_IMAGEWISE_ERRORS = {
+    "M7 block removed": "42 tensors stored but the network spec has 48",
+    "dropout_rate is a string": "dropout_rate must be a number, got '0.5'",
+    "dropout_rate is a bool": "dropout_rate must be a number, got True",
+    "dropout_rate is 1.0": r"dropout rate must be in \[0, 1\), got 1.0",
+    "dropout_rate missing": "dropout_rate must be a number, got None",
+    "n_patches is null": "n_patches must be an integer, got None",
+}
+
+
 @pytest.mark.parametrize("case", list(IMAGEWISE_BAD))
 def test_malformed_imagewise_file_refused(tmp_path, small_iw, case):
     path = tmp_path / "bad.ckpt"
     write_hpck(path, 1, *IMAGEWISE_BAD[case](*checkpoint_parts(*small_iw)))
-    with pytest.raises(CheckpointFormatError, match="not the canonical imagewise stack"):
+    with pytest.raises(CheckpointFormatError, match=_IMAGEWISE_ERRORS[case]):
         load_checkpoint(path)
 
 

@@ -340,9 +340,33 @@ class TestInferCommand:
             "stats mean must be 3 finite numbers, got null"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("window", ["32x", 40.5, True])
+    def test_malformed_meta_window_exits_4(self, run_cli, tiny_cli_artifacts, tmp_path,
+                                           window):
+        spec, params, meta = load_checkpoint(tiny_cli_artifacts["patch_ckpt"])
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, spec, params, {**meta, "window": window})
+        proc = run_cli("infer", "--patch-checkpoint", bad,
+                       "--image-checkpoint", tiny_cli_artifacts["image_ckpt"],
+                       "--image", tiny_cli_artifacts["data"] / "c0_000.ppm", expect=4)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: patch-wise checkpoint {bad} holds window {window!r}, not an integer"]
+
+    def test_version_1_checkpoint_exits_4(self, run_cli, tiny_cli_artifacts, tmp_path):
+        spec, params, meta = load_checkpoint(tiny_cli_artifacts["image_ckpt"])
+        old = tmp_path / "old.ckpt"
+        write_hpck(old, 1, *checkpoint_parts(spec, params, meta), version=1)
+        proc = run_cli("infer", "--patch-checkpoint", tiny_cli_artifacts["patch_ckpt"],
+                       "--image-checkpoint", old,
+                       "--image", tiny_cli_artifacts["data"] / "c0_000.ppm", expect=4)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: unsupported version 1 (this build reads 2)"]
+
     @pytest.mark.parametrize("case", ["5x5 kernel under a 3x3 spec", "duplicate name",
                                       "meta is not an object", "name is not UTF-8",
-                                      "M7 block removed"])
+                                      "M7 block removed", "dropout_rate is a string"])
     def test_malformed_checkpoint_exits_4(self, run_cli, tiny_cli_artifacts, tmp_path,
                                           case):
         stage = "image" if case in IMAGEWISE_BAD else "patch"

@@ -25,45 +25,56 @@ from histopatch.model import (
 from histopatch.tensor import Tensor
 
 
+@pytest.fixture(scope="module")
+def small_pw():
+    spec = canonical_patchwise_spec(base_width=2, feature_depth=3)
+    return spec, init_params(spec, seed=0)
+
+
 class TestCanonicalPatchwise:
     def test_conv_count_and_downsample_positions(self):
         spec = canonical_patchwise_spec(base_width=16, feature_depth=16)
-        convs = [l for l in spec.layers if l.kind == "conv"]
-        assert len(convs) == 16
-        stride2 = [i for i, l in enumerate(convs) if l.stride == 2]
+        assert len(spec.blocks) == 16
+        stride2 = [i for i, b in enumerate(spec.blocks) if b.stride == 2]
         assert stride2 == [2, 5, 8]  # conv ordinals 3, 6, 9 (1-based)
 
     def test_channel_doubling(self):
         spec = canonical_patchwise_spec(base_width=16)
-        convs = [l for l in spec.layers if l.kind == "conv"]
-        widths = [l.out_ch for l in convs[:-1]]
+        widths = [b.out_ch for b in spec.blocks[:-1]]
         assert widths == [16, 16, 32, 32, 32, 64, 64, 64, 128] + [128] * 6
-        assert convs[-1].kernel == 1
-        assert convs[-1].out_ch == 16  # feature depth
+        assert [b.in_ch for b in spec.blocks] == [3] + [b.out_ch for b in spec.blocks[:-1]]
+        assert spec.blocks[-1].kernel == 1
+        assert spec.blocks[-1].out_ch == 16  # feature depth
 
     def test_each_conv_followed_by_bn_relu(self):
-        spec = canonical_patchwise_spec()
-        kinds = [l.kind for l in spec.layers]
-        for i, k in enumerate(kinds):
-            if k == "conv":
-                assert kinds[i + 1] == "batchnorm"
-                assert kinds[i + 2] == "relu"
+        # every block owns a conv and the batchnorm over its output channels
+        spec = canonical_patchwise_spec(base_width=2, feature_depth=3)
+        entries = list(model._param_entries(spec))
+        for k, block in enumerate(spec.blocks):
+            roles = [(role, shape) for _, role, shape in entries[6 * k:6 * k + 6]]
+            assert roles == [("weight", (block.out_ch, block.in_ch, block.kernel, block.kernel)),
+                             ("bias", (block.out_ch,))] + [
+                (r, (block.out_ch,)) for r in ("gamma", "beta", "running_mean", "running_var")]
 
     def test_head_layers(self):
-        spec = canonical_patchwise_spec()
-        kinds = [l.kind for l in spec.layers]
-        assert kinds[-3:] == ["global_avg_pool", "linear", "softmax"]
-        assert spec.layers[-2].out_ch == 4
+        spec = canonical_patchwise_spec(feature_depth=16)
+        assert spec.head == (4,)
+        assert [shape for name, _, shape in model._param_entries(spec)][-2:] == [(4, 16), (4,)]
 
-    def test_feature_cut_is_last_relu_before_head(self):
-        spec = canonical_patchwise_spec()
-        assert spec.layers[spec.feature_cut].kind == "relu"
-        assert spec.layers[spec.feature_cut + 1].kind == "global_avg_pool"
+    def test_feature_cut_is_last_relu_before_head(self, small_pw):
+        # the features are what the pooled head reads
+        spec, params = small_pw
+        x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 16, 16)).astype(np.float32))
+        feats = network_forward(spec, params, x, "eval", features=True)
+        assert feats.shape == (2, 3, 2, 2) and (feats.data >= 0).all()
+        head = ops.linear(ops.global_avg_pool(feats), params["49.weight"], params["49.bias"])
+        assert head.data.tobytes() == network_forward(spec, params, x, "eval").data.tobytes()
 
     def test_spec_roundtrip_through_dict(self):
         spec = canonical_patchwise_spec(base_width=8, feature_depth=4)
         again = NetworkSpec.from_dict(spec.to_dict())
         assert again == spec
+        assert again.blocks == spec.blocks and again.head == spec.head
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
@@ -73,23 +84,21 @@ class TestCanonicalPatchwise:
 class TestCanonicalImagewise:
     def test_structure(self):
         spec = canonical_imagewise_spec(n_patches=12, feature_depth=16, head_depth=64)
-        convs = [l for l in spec.layers if l.kind == "conv"]
-        assert len(convs) == 7
-        assert convs[0].in_ch == 12 * 16
-        assert [l.stride for l in convs] == [1, 1, 2, 1, 1, 2, 1]
-        assert convs[-1].kernel == 1 and convs[-1].out_ch == 64
+        assert len(spec.blocks) == 7
+        assert spec.blocks[0].in_ch == 12 * 16
+        assert [b.stride for b in spec.blocks] == [1, 1, 2, 1, 1, 2, 1]
+        assert spec.blocks[-1].kernel == 1 and spec.blocks[-1].out_ch == 64
 
     def test_three_linear_layers_with_dropout(self):
         spec = canonical_imagewise_spec(head_depth=64)
-        linears = [l for l in spec.layers if l.kind == "linear"]
-        assert [(l.in_ch, l.out_ch) for l in linears] == [(64, 256), (256, 128), (128, 4)]
-        drops = [l for l in spec.layers if l.kind == "dropout"]
-        assert len(drops) == 2
-        assert all(l.rate == 0.5 for l in drops)
+        linears = [shape for _, role, shape in model._param_entries(spec)
+                   if role == "weight" and len(shape) == 2]
+        assert linears == [(256, 64), (128, 256), (4, 128)]
+        assert spec.head == (256, 128, 4)
+        assert spec.dropout_rate == 0.5
 
     def test_dropout_rate_parameter(self):
-        spec = canonical_imagewise_spec(dropout_rate=0.25)
-        assert all(l.rate == 0.25 for l in spec.layers if l.kind == "dropout")
+        assert canonical_imagewise_spec(dropout_rate=0.25).dropout_rate == 0.25
         with pytest.raises(ValueError):
             canonical_imagewise_spec(dropout_rate=1.0)
 
@@ -99,20 +108,14 @@ class TestCanonicalImagewise:
         assert NetworkSpec.from_dict(spec.to_dict()) == spec
 
 
-def _spec_dict(stack: str, layer: int | None = None, insert: dict | None = None,
-               **changes) -> dict:
-    """A small canonical spec's ``to_dict``, with ``changes`` applied to the
-    spec (or to layer ``layer``) and ``insert`` put in front of ``layer``."""
+def _spec_dict(stack: str, drop: str | None = None, **changes) -> dict:
+    """A small canonical spec's ``to_dict`` with ``changes`` applied and the
+    key ``drop`` removed."""
     spec = (canonical_patchwise_spec(base_width=4, feature_depth=4) if stack == "patchwise"
             else canonical_imagewise_spec(n_patches=2, feature_depth=2, head_depth=8))
-    d = spec.to_dict()
-    if layer is None:
-        return {**d, **changes}
-    layers = list(d["layers"])
-    layers[layer] = {**layers[layer], **changes}
-    if insert is not None:
-        layers.insert(layer, insert)
-    return {**d, "layers": layers}
+    d = {**spec.to_dict(), **changes}
+    d.pop(drop, None)
+    return d
 
 
 class TestSpecFromDict:
@@ -120,21 +123,25 @@ class TestSpecFromDict:
     sizes and refuses anything else with a ValueError, never another error."""
 
     @pytest.mark.parametrize("d", [
-        _spec_dict("patchwise", layer=3, kernel=5),
-        _spec_dict("patchwise", layer=3, insert={"kind": "relu"}),
-        _spec_dict("imagewise", layer=27, rate=0.25),
-        _spec_dict("imagewise", layer=24, rate=None),
+        _spec_dict("imagewise", dropout_rate=None),
+        _spec_dict("imagewise", drop="dropout_rate"),
+        _spec_dict("imagewise", dropout_rate="0.5"),
+        _spec_dict("imagewise", dropout_rate=True),
+        _spec_dict("imagewise", dropout_rate=1.0),
         _spec_dict("patchwise", base_width="8"),
         _spec_dict("patchwise", base_width=True),
         _spec_dict("patchwise", base_width=0),
         _spec_dict("patchwise", n_classes=5),
+        _spec_dict("patchwise", n_classes=4),
         _spec_dict("imagewise", layers=[5]),
+        _spec_dict("patchwise", dropout_rate=0.5),
         _spec_dict("imagewise", n_patches=None),
         _spec_dict("patchwise", kind="densenet"),
         5,
-    ], ids=["kernel changed", "extra relu", "two dropout rates", "null rate",
+    ], ids=["null rate", "rate missing", "rate string", "rate bool", "rate 1.0",
             "base_width string", "base_width bool", "base_width 0", "n_classes 5",
-            "layers hold a number", "n_patches null", "unknown kind", "not an object"])
+            "n_classes 4", "layers hold a number", "patchwise with a rate", "n_patches null",
+            "unknown kind", "not an object"])
     def test_non_canonical_spec_refused(self, d):
         with pytest.raises(ValueError):
             NetworkSpec.from_dict(d)
@@ -183,12 +190,6 @@ class TestInitParams:
         spec = canonical_patchwise_spec(base_width=4, feature_depth=4)
         for name in trainable_names(spec):
             assert "running" not in name
-
-
-@pytest.fixture(scope="module")
-def small_pw():
-    spec = canonical_patchwise_spec(base_width=2, feature_depth=3)
-    return spec, init_params(spec, seed=0)
 
 
 class TestForwardShapes:
@@ -273,27 +274,24 @@ def _perturbed_params(spec, seed):
     return params
 
 
-def _unfolded_eval(spec, params, x, stop_after=None):
-    """Eval forward layer by layer through ops.conv2d, ops.batchnorm2d and
+def _unfolded_eval(spec, params, x, features=False):
+    """Eval forward block by block through ops.conv2d, ops.batchnorm2d and
     ops.relu: the reference the folded network_forward is held to."""
     cur = x
-    for i, layer in enumerate(spec.layers):
-        p = f"{i:02d}"
-        if layer.kind == "conv":
-            cur = ops.conv2d(cur, params[f"{p}.weight"], params[f"{p}.bias"],
-                             stride=layer.stride, padding=layer.padding)
-        elif layer.kind == "batchnorm":
-            cur = ops.batchnorm2d(cur, params[f"{p}.gamma"], params[f"{p}.beta"],
-                                  params[f"{p}.running_mean"], params[f"{p}.running_var"],
-                                  "eval")
-        elif layer.kind == "relu":
-            cur = ops.relu(cur)
-        elif layer.kind == "global_avg_pool":
-            cur = ops.global_avg_pool(cur)
-        elif layer.kind == "linear":
-            cur = ops.linear(cur, params[f"{p}.weight"], params[f"{p}.bias"])
-        if i == stop_after:
-            break
+    for k, block in enumerate(spec.blocks):
+        c, n = f"{3 * k:02d}", f"{3 * k + 1:02d}"
+        cur = ops.conv2d(cur, params[f"{c}.weight"], params[f"{c}.bias"],
+                         stride=block.stride, padding=block.padding)
+        cur = ops.relu(ops.batchnorm2d(cur, params[f"{n}.gamma"], params[f"{n}.beta"],
+                                       params[f"{n}.running_mean"],
+                                       params[f"{n}.running_var"], "eval"))
+    if features:
+        return cur.data
+    cur = ops.global_avg_pool(cur)
+    for j in range(len(spec.head)):
+        i = 3 * len(spec.blocks) + 1 + 3 * j
+        cur = ops.linear(ops.relu(cur) if j else cur,
+                         params[f"{i:02d}.weight"], params[f"{i:02d}.bias"])
     return cur.data
 
 
@@ -333,15 +331,10 @@ class TestEvalFold:
                            _unfolded_eval(spec, params, x))
 
     @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: c[0])
-    def test_stop_inside_a_block_matches_unfolded_ops(self, case):
+    def test_features_match_unfolded_ops(self, case):
         _, spec, params, x = case
-        kinds = [l.kind for l in spec.layers]
-        block = len(kinds) - 1 - kinds[::-1].index("conv")   # the last conv block
-        assert kinds[block:block + 3] == ["conv", "batchnorm", "relu"]
-        for stop in (block, block + 1, block + 2):    # block + 2 is the patchwise feature cut
-            self._assert_close(
-                network_forward(spec, params, x, "eval", stop_after=stop).data,
-                _unfolded_eval(spec, params, x, stop_after=stop))
+        self._assert_close(network_forward(spec, params, x, "eval", features=True).data,
+                           _unfolded_eval(spec, params, x, features=True))
 
     @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: c[0])
     def test_parameters_and_input_untouched(self, case):
@@ -349,7 +342,7 @@ class TestEvalFold:
         before = {name: t.data.tobytes() for name, t in params.items()}
         x_before = x.data.tobytes()
         network_forward(spec, params, x, "eval", with_softmax=True)
-        network_forward(spec, params, x, "eval", stop_after=4)
+        network_forward(spec, params, x, "eval", features=True)
         assert {name: t.data.tobytes() for name, t in params.items()} == before
         assert x.data.tobytes() == x_before
 
@@ -368,8 +361,8 @@ class TestEvalFold:
 
         for name in calls:
             monkeypatch.setattr(ops, name, counted(name))
-        n_conv = sum(l.kind == "conv" for l in spec.layers)
-        n_relu = sum(l.kind == "relu" for l in spec.layers)
+        n_conv = len(spec.blocks)
+        n_relu = n_conv + len(spec.head) - 1
 
         network_forward(spec, params, x, "eval", with_softmax=True)
         assert calls == {"conv2d": n_conv, "batchnorm2d": 0, "relu": 0}

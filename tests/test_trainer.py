@@ -284,13 +284,13 @@ class TestTrainPatchwise:
         assert runs[0] == runs[1] == runs[2]
 
     def test_meta_fields_per_stage(self, stage1, stage2):
-        shared = {"stage", "window", "feature_depth", "seed", "lr", "momentum",
-                  "batch_size", "max_epochs", "patience", "norm_mean", "norm_std",
-                  "best_epoch", "val_acc"}
-        assert set(stage1.meta) == shared | {"stride", "base_width"}
-        assert set(stage2.meta) == shared | {"n_patches", "head_depth", "dropout_rate"}
+        # the sizes and the kind live in the header's spec, not in meta
+        shared = {"window", "seed", "lr", "momentum", "batch_size", "max_epochs",
+                  "patience", "norm_mean", "norm_std", "best_epoch", "val_acc"}
+        assert set(stage1.meta) == shared | {"stride"}
+        assert set(stage2.meta) == shared
         assert stage1.meta["best_epoch"] == stage1.metrics.best_epoch
-        assert stage2.meta["feature_depth"] == stage1.spec.feature_depth
+        assert stage2.spec.feature_depth == stage1.spec.feature_depth
 
     def test_divergence_stops_with_epoch_and_batch(self, tiny_manifest):
         config = _pw_config(lr=1e6, window=32, stride=16, base_width=2,
@@ -301,7 +301,6 @@ class TestTrainPatchwise:
     def test_meta_carries_norm_stats(self, stage1, tiny_manifest):
         assert stage1.meta["norm_mean"] == list(tiny_manifest.stats.mean)
         assert stage1.meta["norm_std"] == list(tiny_manifest.stats.std)
-        assert stage1.meta["stage"] == "patchwise"
         assert stage1.meta["window"] == 64
 
     def test_two_runs_bitwise_identical(self, tiny_manifest):
