@@ -128,9 +128,18 @@ def load_checkpoint(path: str | Path, expect_kind: str | None = None
     The checksum is verified before anything is interpreted.  Only the two
     canonical stacks load: the stored spec must equal the one its sizes
     rebuild (``NetworkSpec.from_dict``), and the stored (name, shape)
-    sequence must equal that spec's ``_param_entries`` table.
+    sequence must equal that spec's ``_param_entries`` table.  Every
+    ``CheckpointError`` raised names ``path``.
     """
     buf = Path(path).read_bytes()
+    try:
+        return _parse(buf, expect_kind)
+    except CheckpointError as e:
+        raise type(e)(f"checkpoint {path}: {e}") from e
+
+
+def _parse(buf: bytes, expect_kind: str | None
+           ) -> tuple[NetworkSpec, dict[str, Tensor], dict]:
     if len(buf) < len(MAGIC) + 4:
         raise CheckpointFormatError("file truncated")
     if buf[:len(MAGIC)] != MAGIC:

@@ -1,9 +1,10 @@
 """Command-line pipeline: synthesis, geometry reports, training, inference.
 
 All commands print a single JSON payload to stdout (logs go to stderr) and
-embed the fully-resolved configuration for provenance.  Exit codes: 0 on
-success, 2 for configuration problems, 3 for I/O problems, 4 for checkpoint
-format problems.
+embed the fully-resolved configuration for provenance; the stage-two commands
+echo the tiling and network sizes of the checkpoints they load.  Exit codes:
+0 on success, 2 for configuration problems, 3 for I/O problems, 4 for
+checkpoint format problems.
 
 Settings resolve in three layers: built-in defaults, then a JSON config file
 (--config), then explicit flags.  Thread pinning happens before numpy is
@@ -20,65 +21,46 @@ from pathlib import Path
 
 FORMAT_VERSION = 1
 
-DEFAULTS: dict = {
-    "seed": 0,
-    "image_w": 2048,
-    "image_h": 1536,
-    "window": 512,
-    "stride": 256,
-    "base_width": 16,
-    "feature_depth": 16,
-    "head_depth": 64,
-    "epochs": None,  # per stage: 20 patch-wise, 30 image-wise
-    "batch_size": 32,
-    "lr": 0.01,
-    "momentum": 0.9,
-    "patience": 5,
-    "dropout": 0.5,
-    "val_fraction": 0.25,
-    "n_per_class": 10,
-    "threads": 1,
-    "split": "val",
-    "manifest": None,
-    "patch_checkpoint": None,
-    "image_checkpoint": None,
-    "out": None,
-    "image": None,
+# key: (default, type); a tuple type lists the allowed values.  Each key is a
+# flag (``--image-w`` for ``image_w``) and a config file key.
+SETTINGS: dict = {
+    "seed": (0, int),
+    "image_w": (2048, int),
+    "image_h": (1536, int),
+    "window": (512, int),
+    "stride": (256, int),
+    "base_width": (16, int),
+    "feature_depth": (16, int),
+    "head_depth": (64, int),
+    "epochs": (None, int),  # per stage: 20 patch-wise, 30 image-wise
+    "batch_size": (32, int),
+    "lr": (0.01, float),
+    "momentum": (0.9, float),
+    "patience": (5, int),
+    "dropout": (0.5, float),
+    "val_fraction": (0.25, float),
+    "n_per_class": (10, int),
+    "threads": (1, int),
+    "split": ("val", ("train", "val")),
+    "manifest": (None, str),
+    "patch_checkpoint": (None, str),
+    "image_checkpoint": (None, str),
+    "out": (None, str),
+    "image": (None, str),
 }
-
-_INT_KEYS = {"seed", "image_w", "image_h", "window", "stride", "base_width",
-             "feature_depth", "head_depth", "epochs", "batch_size", "patience",
-             "n_per_class", "threads"}
-_FLOAT_KEYS = {"lr", "momentum", "dropout", "val_fraction"}
-_PATH_KEYS = {"manifest", "patch_checkpoint", "image_checkpoint", "out", "image"}
+DEFAULTS: dict = {key: default for key, (default, _) in SETTINGS.items()}
+_WHAT = {int: "an integer", float: "a number", str: "a string"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--window", type=int, metavar="K")
-    common.add_argument("--stride", type=int, metavar="S")
-    common.add_argument("--image-w", type=int)
-    common.add_argument("--image-h", type=int)
-    common.add_argument("--base-width", type=int, metavar="B")
-    common.add_argument("--feature-depth", type=int, metavar="C")
-    common.add_argument("--head-depth", type=int, metavar="D")
-    common.add_argument("--epochs", type=int)
-    common.add_argument("--batch-size", type=int)
-    common.add_argument("--lr", type=float)
-    common.add_argument("--momentum", type=float)
-    common.add_argument("--patience", type=int)
-    common.add_argument("--dropout", type=float)
-    common.add_argument("--val-fraction", type=float)
-    common.add_argument("--n-per-class", type=int)
-    common.add_argument("--split", choices=("train", "val"))
-    common.add_argument("--manifest", metavar="PATH")
-    common.add_argument("--patch-checkpoint", metavar="PATH")
-    common.add_argument("--image-checkpoint", metavar="PATH")
-    common.add_argument("--out", metavar="DIR")
-    common.add_argument("--image", metavar="PATH")
-    common.add_argument("--threads", type=int, metavar="N")
+    for key, (_, kind) in SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(kind, tuple):
+            common.add_argument(flag, choices=kind)
+        else:
+            common.add_argument(flag, type=kind)
 
     parser = argparse.ArgumentParser(
         prog="histopatch",
@@ -109,20 +91,19 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, set[str]]:
         if val is not None:
             cfg[key] = val
             explicit.add(key)
-    for key in sorted(_INT_KEYS | _FLOAT_KEYS):
+    for key, (default, kind) in SETTINGS.items():
         val = cfg[key]
-        if val is None and DEFAULTS[key] is None:
+        if val is None and default is None:
             continue
-        kinds = (int,) if key in _INT_KEYS else (int, float)
+        if isinstance(kind, tuple):
+            if val not in kind:
+                raise ValueError(f"{key} must be one of {', '.join(map(json.dumps, kind))}, "
+                                 f"got {json.dumps(val)}")
+            continue
+        kinds = (int, float) if kind is float else (kind,)
         if isinstance(val, bool) or not isinstance(val, kinds):
-            what = "an integer" if key in _INT_KEYS else "a number"
-            raise ValueError(f"{key} must be {what}, got {json.dumps(val)}")
-        if key in _FLOAT_KEYS:
-            cfg[key] = float(val)
-    for key in sorted(_PATH_KEYS):
-        val = cfg[key]
-        if val is not None and not isinstance(val, str):
-            raise ValueError(f"{key} must be a string, got {json.dumps(val)}")
+            raise ValueError(f"{key} must be {_WHAT[kind]}, got {json.dumps(val)}")
+        cfg[key] = kind(val)
     if cfg["threads"] < 1:
         raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
     return cfg, explicit
@@ -240,88 +221,98 @@ def cmd_stats(cfg: dict, explicit: set[str], parser, command) -> dict:
     })
 
 
-def _write_artifacts(out_dir: Path, stem: str, result, cfg: dict) -> tuple[Path, Path]:
+def _train(cfg: dict, stage: str, run) -> dict:
+    """Train ``stage`` with ``run(train_config)`` under ``cfg``'s settings,
+    write ``<stage>.ckpt`` and ``<stage>_metrics.json`` into --out, and return
+    the command's summary.  The config is checked before ``run`` reads
+    anything."""
     from .checkpoint import save_checkpoint
+    from .trainer import TrainConfig
 
+    epochs = cfg["epochs"]
+    tc = TrainConfig(
+        stage=stage, seed=cfg["seed"], lr=cfg["lr"], momentum=cfg["momentum"],
+        batch_size=cfg["batch_size"], patience=cfg["patience"],
+        max_epochs=epochs if epochs is not None else {"patchwise": 20, "imagewise": 30}[stage],
+        dropout_rate=cfg["dropout"], window=cfg["window"], stride=cfg["stride"],
+        base_width=cfg["base_width"], feature_depth=cfg["feature_depth"],
+        head_depth=cfg["head_depth"],
+    )
+    tc.validate()
+    result = run(tc)
+    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / f"{stem}.ckpt"
-    metrics_path = out_dir / f"{stem}_metrics.json"
-    save_checkpoint(ckpt_path, result.spec, result.params, result.meta)
-    doc = result.metrics.to_dict()
-    doc["config"] = cfg
-    doc["format_version"] = FORMAT_VERSION
-    metrics_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")
-    return ckpt_path, metrics_path
-
-
-def _train_summary(command: str, cfg: dict, result, ckpt: Path,
-                   metrics: Path) -> dict:
-    return _payload(command, cfg, {
+    ckpt, metrics = out_dir / f"{stage}.ckpt", out_dir / f"{stage}_metrics.json"
+    save_checkpoint(ckpt, result.spec, result.params, result.meta)
+    doc = {**result.metrics.to_dict(), "config": cfg, "format_version": FORMAT_VERSION}
+    metrics.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")
+    return {
         "checkpoint": str(ckpt),
         "metrics": str(metrics),
         "best_epoch": result.metrics.best_epoch,
         "val_acc": result.metrics.accuracy,
         "epochs_run": len(result.metrics.epochs),
-    })
+    }
 
 
 def cmd_train_patch(cfg: dict, explicit: set[str], parser, command) -> dict:
     _require(cfg, ["manifest", "out"], parser, command)
     from .data import load_manifest
-    from .trainer import TrainConfig, train_patchwise
+    from .trainer import train_patchwise
 
-    _check_window(cfg["window"])
-    tc = TrainConfig(
-        stage="patchwise", seed=cfg["seed"], lr=cfg["lr"],
-        momentum=cfg["momentum"], batch_size=cfg["batch_size"],
-        max_epochs=cfg["epochs"] if cfg["epochs"] is not None else 20,
-        patience=cfg["patience"], window=cfg["window"], stride=cfg["stride"],
-        base_width=cfg["base_width"], feature_depth=cfg["feature_depth"],
-    )
-    manifest = load_manifest(cfg["manifest"])
-    result = train_patchwise(manifest, tc, log=_log_line)
-    ckpt, metrics = _write_artifacts(Path(cfg["out"]), "patchwise", result, cfg)
-    return _train_summary(command, cfg, result, ckpt, metrics)
+    return _payload(command, cfg, _train(cfg, "patchwise", lambda tc: train_patchwise(
+        load_manifest(cfg["manifest"]), tc, log=_log_line)))
 
 
-def _load_pw(cfg: dict):
-    from .checkpoint import load_checkpoint
+def _stage_two(cfg: dict, explicit: set[str], with_image_net: bool):
+    """Load the patch checkpoint (and, ``with_image_net``, the image one) and
+    the patch checkpoint's norm stats; return ``(cfg, stats, nets)``.
 
-    return load_checkpoint(cfg["patch_checkpoint"], expect_kind="patchwise")
-
-
-def _check_window(window: int) -> None:
-    """``model.check_window``, imported late like every heavy module here;
-    run before any image is read."""
+    The returned ``cfg`` is the one that runs: the patch checkpoint's window
+    unless one was given, tiled without overlap (so the stride is the window
+    too), its ``base_width``/``feature_depth``, and ``with_image_net`` the
+    image checkpoint's ``head_depth``/``dropout``.  An explicit size that a
+    checkpoint contradicts is a ``ValueError``; a stored window that is not a
+    JSON integer or unusable stats are a ``CheckpointError``.  ``nets`` is
+    ``(pw_spec, pw_params)``, then ``(iw_spec, iw_params)`` if loaded."""
+    from .checkpoint import CheckpointError, load_checkpoint
+    from .data import ManifestError, NormStats
     from .model import check_window
 
+    path = cfg["patch_checkpoint"]
+    pw_spec, pw_params, meta = load_checkpoint(path, expect_kind="patchwise")
+    nets = (pw_spec, pw_params)
+    try:
+        stats = NormStats.from_dict({"mean": meta.get("norm_mean"), "std": meta.get("norm_std")})
+    except ManifestError as e:
+        raise CheckpointError(f"patch-wise checkpoint {path} holds no "
+                              f"usable norm_mean/norm_std: {e}") from None
+    window = cfg["window"] if "window" in explicit else meta.get("window", cfg["window"])
+    if type(window) is not int:
+        raise CheckpointError(f"patch-wise checkpoint {path} holds "
+                              f"window {window!r}, not an integer")
+    stored = {"base_width": (pw_spec.base_width, path),
+              "feature_depth": (pw_spec.feature_depth, path)}
+    if with_image_net:
+        iw_spec, iw_params, _ = load_checkpoint(cfg["image_checkpoint"], expect_kind="imagewise")
+        nets += (iw_spec, iw_params)
+        stored.update(head_depth=(iw_spec.head_depth, cfg["image_checkpoint"]),
+                      dropout=(iw_spec.dropout_rate, cfg["image_checkpoint"]))
+    for key, (value, source) in stored.items():
+        if key in explicit and cfg[key] != value:
+            raise ValueError(f"{key} {json.dumps(cfg[key])} contradicts checkpoint "
+                             f"{source}, which holds {json.dumps(value)}")
     check_window(window)
-
-
-def _tiling(cfg: dict, explicit: set[str], meta: dict) -> dict:
-    """``cfg`` with the tiling actually used, for the stage-two commands: the
-    patch checkpoint's window unless --window was given, tiled without
-    overlap, so the stride echoed is the window too.  A stored window that
-    is not a JSON integer is a ``CheckpointError``."""
-    from .checkpoint import CheckpointError
-
-    window = cfg["window"]
-    if "window" not in explicit:
-        window = meta.get("window", window)
-        if type(window) is not int:
-            raise CheckpointError(f"patch-wise checkpoint {cfg['patch_checkpoint']} holds "
-                                  f"window {window!r}, not an integer")
-    _check_window(window)
-    return {**cfg, "window": window, "stride": window}
+    ran = {key: value for key, (value, _) in stored.items()}
+    return {**cfg, "window": window, "stride": window, **ran}, stats, nets
 
 
 def cmd_train_image(cfg: dict, explicit: set[str], parser, command) -> dict:
     _require(cfg, ["manifest", "patch_checkpoint", "out"], parser, command)
     from .data import load_manifest
-    from .trainer import TrainConfig, train_imagewise
+    from .trainer import train_imagewise
 
-    pw_spec, pw_params, pw_meta = _load_pw(cfg)
-    stats = _norm_stats(cfg, pw_meta)
+    cfg, stats, nets = _stage_two(cfg, explicit, with_image_net=False)
     manifest = load_manifest(cfg["manifest"])
     if manifest.stats is not None and manifest.stats != stats:
         raise ValueError(
@@ -329,38 +320,8 @@ def cmd_train_image(cfg: dict, explicit: set[str], parser, command) -> dict:
             "patch-wise checkpoint was trained with; recompute stats or "
             "retrain stage one"
         )
-    cfg = _tiling(cfg, explicit, pw_meta)
-    tc = TrainConfig(
-        stage="imagewise", seed=cfg["seed"], lr=cfg["lr"],
-        momentum=cfg["momentum"], batch_size=cfg["batch_size"],
-        max_epochs=cfg["epochs"] if cfg["epochs"] is not None else 30,
-        patience=cfg["patience"], dropout_rate=cfg["dropout"],
-        window=cfg["window"], head_depth=cfg["head_depth"],
-    )
-    result = train_imagewise(manifest, pw_spec, pw_params, tc, log=_log_line)
-    ckpt, metrics = _write_artifacts(Path(cfg["out"]), "imagewise", result, cfg)
-    return _train_summary(command, cfg, result, ckpt, metrics)
-
-
-def _norm_stats(cfg: dict, pw_meta: dict):
-    """The patch checkpoint's ``NormStats``; ``CheckpointError`` if unusable."""
-    from .checkpoint import CheckpointError
-    from .data import ManifestError, NormStats
-
-    try:
-        return NormStats.from_dict({"mean": pw_meta.get("norm_mean"),
-                                    "std": pw_meta.get("norm_std")})
-    except ManifestError as e:
-        raise CheckpointError(f"patch-wise checkpoint {cfg['patch_checkpoint']} holds no "
-                              f"usable norm_mean/norm_std: {e}") from None
-
-
-def _load_stage_pair(cfg: dict):
-    from .checkpoint import load_checkpoint
-
-    pw_spec, pw_params, pw_meta = _load_pw(cfg)
-    iw_spec, iw_params, _ = load_checkpoint(cfg["image_checkpoint"], expect_kind="imagewise")
-    return pw_spec, pw_params, pw_meta, iw_spec, iw_params, _norm_stats(cfg, pw_meta)
+    return _payload(command, cfg, _train(cfg, "imagewise", lambda tc: train_imagewise(
+        manifest, *nets, tc, log=_log_line)))
 
 
 def cmd_infer(cfg: dict, explicit: set[str], parser, command) -> dict:
@@ -368,10 +329,9 @@ def cmd_infer(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .data import normalize_pixels, read_ppm
     from .model import CLASS_NAMES, infer_image
 
-    pw_spec, pw_params, pw_meta, iw_spec, iw_params, stats = _load_stage_pair(cfg)
-    cfg = _tiling(cfg, explicit, pw_meta)
+    cfg, stats, nets = _stage_two(cfg, explicit, with_image_net=True)
     pixels = normalize_pixels(read_ppm(cfg["image"]), stats)
-    cls, probs = infer_image(pw_spec, pw_params, iw_spec, iw_params, pixels, cfg["window"])
+    cls, probs = infer_image(*nets, pixels, cfg["window"])
     return _payload(command, cfg, {
         "image": str(cfg["image"]),
         "class": cls,
@@ -387,14 +347,12 @@ def cmd_eval(cfg: dict, explicit: set[str], parser, command) -> dict:
     from .data import load_images, load_manifest
     from .trainer import evaluate_images, metrics_from_confusion
 
-    pw_spec, pw_params, pw_meta, iw_spec, iw_params, stats = _load_stage_pair(cfg)
-    cfg = _tiling(cfg, explicit, pw_meta)
+    cfg, stats, nets = _stage_two(cfg, explicit, with_image_net=True)
     manifest = load_manifest(cfg["manifest"])
     images = load_images(replace(manifest, stats=stats), cfg["split"], normalized=True)
     if not images:
         raise ValueError(f"split {cfg['split']!r} is empty")
-    confusion = evaluate_images(pw_spec, pw_params, iw_spec, iw_params,
-                                images, cfg["window"])
+    confusion = evaluate_images(*nets, images, cfg["window"])
     accuracy, precision, recall = metrics_from_confusion(confusion)
     return _payload(command, cfg, {
         "split": cfg["split"],
@@ -440,12 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, explicit = _resolve(args)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2 if isinstance(e, ValueError) else 3
-    _pin_threads(cfg["threads"])
-
-    try:
+        _pin_threads(cfg["threads"])
         _, run = COMMANDS[args.command]
         payload = run(cfg, explicit, parser, args.command)
     except Exception as e:

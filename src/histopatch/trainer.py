@@ -16,6 +16,7 @@ mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,8 +81,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.stage not in ("patchwise", "imagewise"):
             raise ValueError(f"stage must be patchwise or imagewise, got {self.stage!r}")
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 2:

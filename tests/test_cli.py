@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from histopatch.checkpoint import load_checkpoint, save_checkpoint
+from histopatch.cli import SETTINGS
 from histopatch.data import load_manifest, read_ppm, synth_dataset
 
 from helpers import IMAGEWISE_BAD, PATCHWISE_BAD, checkpoint_parts, write_hpck
@@ -196,6 +197,54 @@ class TestTrainCommands:
         }
         for name, doc in docs.items():
             assert (doc["config"]["window"], doc["config"]["stride"]) == (64, 64), name
+            # the sizes of the networks that ran: B=C=4 from the patch
+            # checkpoint, the image-wise ones trained at the defaults
+            assert (doc["config"]["base_width"], doc["config"]["feature_depth"]) == (4, 4), name
+            assert (doc["config"]["head_depth"], doc["config"]["dropout"]) == (64, 0.5), name
+
+    def test_sizes_the_checkpoints_agree_with_are_accepted(self, run_cli, tiny_cli_artifacts):
+        a = tiny_cli_artifacts
+        ckpts = ["--patch-checkpoint", a["patch_ckpt"], "--image-checkpoint", a["image_ckpt"]]
+        for command, more in (("infer", ["--image", a["data"] / "c0_000.ppm"]),
+                              ("eval", ["--manifest", a["manifest"]])):
+            doc = out_json(run_cli(command, *ckpts, *more, "--base-width", "4",
+                                   "--head-depth", "64", "--dropout", "0.5"))
+            assert doc["config"]["head_depth"] == 64 and doc["config"]["dropout"] == 0.5
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("infer", "--base-width", "base_width 9 contradicts checkpoint {patch_ckpt}, "
+                                  "which holds 4"),
+        ("eval", "--feature-depth", "feature_depth 9 contradicts checkpoint {patch_ckpt}, "
+                                    "which holds 4"),
+        ("infer", "--head-depth", "head_depth 9 contradicts checkpoint {image_ckpt}, "
+                                  "which holds 64"),
+        ("train-image", "--feature-depth", "feature_depth 9 contradicts checkpoint "
+                                           "{patch_ckpt}, which holds 4"),
+    ], ids=["infer-base-width", "eval-feature-depth", "infer-head-depth",
+            "train-image-feature-depth"])
+    def test_contradicted_size_exits_2(self, run_cli, tiny_cli_artifacts, tmp_path,
+                                       command, flag, message):
+        a = tiny_cli_artifacts
+        more = {"infer": ["--image-checkpoint", a["image_ckpt"],
+                          "--image", a["data"] / "c0_000.ppm"],
+                "eval": ["--image-checkpoint", a["image_ckpt"], "--manifest", a["manifest"]],
+                "train-image": ["--manifest", a["manifest"], "--out", tmp_path / "run"]}
+        proc = run_cli(command, "--patch-checkpoint", a["patch_ckpt"], *more[command],
+                       flag, "9", expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: " + message.format(**a)]
+        assert not (tmp_path / "run").exists()
+
+    def test_contradicted_dropout_in_config_exits_2(self, run_cli, tiny_cli_artifacts,
+                                                    tmp_path):
+        a = tiny_cli_artifacts
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dropout": 0.25}))
+        proc = run_cli("infer", "--config", cfg, "--patch-checkpoint", a["patch_ckpt"],
+                       "--image-checkpoint", a["image_ckpt"],
+                       "--image", a["data"] / "c0_000.ppm", expect=2)
+        assert proc.stderr.splitlines() == [
+            f"error: dropout 0.25 contradicts checkpoint {a['image_ckpt']}, which holds 0.5"]
 
     def test_train_image_requires_patch_checkpoint(self, run_cli,
                                                    tiny_cli_artifacts, tmp_path):
@@ -222,6 +271,22 @@ class TestTrainCommands:
         errors = [line for line in proc.stderr.splitlines() if not line.startswith("stage 1")]
         assert len(errors) == 1 and errors[0].startswith("error: training diverged at epoch")
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "learning rate must be positive and finite, got nan"),
+        ("--lr", "inf", "learning rate must be positive and finite, got inf"),
+        ("--momentum", "1.5", "momentum must be in [0, 1), got 1.5"),
+    ], ids=["lr-nan", "lr-inf", "momentum-1.5"])
+    def test_bad_optimizer_setting_exits_2_before_training(self, run_cli, tiny_cli_artifacts,
+                                                           tmp_path, flag, value, message):
+        out = tmp_path / "run"
+        proc = run_cli("train-patch", "--manifest", tiny_cli_artifacts["manifest"],
+                       "--out", out, "--window", "64", "--stride", "32",
+                       "--base-width", "2", "--feature-depth", "2", "--epochs", "2",
+                       "--batch-size", "16", flag, value, expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: " + message]  # no "stage 1:" log
+        assert not out.exists()
 
     # the commands that check the window, with the other inputs each needs
     WINDOW_COMMANDS = [
@@ -266,13 +331,13 @@ class TestTrainCommands:
         assert not (tmp_path / "run").exists()
 
     def test_smallest_window_both_stacks_carry_is_32(self):
-        from histopatch.cli import _check_window
         from histopatch.geometry import GeometryError
+        from histopatch.model import check_window
 
         for window in (8, 16, 24, 31):
             with pytest.raises(GeometryError, match=f"window {window} is too small"):
-                _check_window(window)
-        _check_window(32)
+                check_window(window)
+        check_window(32)
 
     def test_train_patch_without_stats_exits_2(self, run_cli, tmp_path):
         out = tmp_path / "ds"
@@ -362,7 +427,19 @@ class TestInferCommand:
                        "--image", tiny_cli_artifacts["data"] / "c0_000.ppm", expect=4)
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
-            "error: unsupported version 1 (this build reads 2)"]
+            f"error: checkpoint {old}: unsupported version 1 (this build reads 2)"]
+
+    def test_bad_image_checkpoint_named(self, run_cli, tiny_cli_artifacts, tmp_path):
+        # with two checkpoint arguments, the error names the one at fault
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(tiny_cli_artifacts["image_ckpt"].read_bytes()[:-1])
+        proc = run_cli("infer", "--patch-checkpoint", tiny_cli_artifacts["patch_ckpt"],
+                       "--image-checkpoint", bad,
+                       "--image", tiny_cli_artifacts["data"] / "c0_000.ppm", expect=4)
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: checkpoint {bad}: checksum mismatch")
+        assert str(tiny_cli_artifacts["patch_ckpt"]) not in line
 
     @pytest.mark.parametrize("case", ["5x5 kernel under a 3x3 spec", "duplicate name",
                                       "meta is not an object", "name is not UTF-8",
@@ -480,3 +557,32 @@ class TestConfigHandling:
 
     def test_threads_flag_validated(self, run_cli):
         run_cli("geometry", "--threads", "0", expect=2)
+
+    def test_config_split_choices_checked(self, run_cli, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"split": "test"}))
+        proc = run_cli("geometry", "--config", cfg, expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            'error: split must be one of "train", "val", got "test"']
+
+    # a value of each setting's type that differs from every default and
+    # keeps the geometry run below valid (two BLAS threads at most)
+    OTHER_VALUES = {int: 48, float: 0.125, str: "some/path"}
+
+    @pytest.mark.parametrize("key", list(SETTINGS))
+    def test_flag_and_config_file_echo_the_same(self, run_cli, tmp_path, key):
+        default, kind = SETTINGS[key]
+        value = 2 if key == "threads" else (
+            kind[0] if isinstance(kind, tuple) else self.OTHER_VALUES[kind])
+        assert value != default
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        grid = {"image_w": 96, "image_h": 64, "window": 32, "stride": 32}
+        base = [a for k, v in grid.items() if k != key
+                for a in ("--" + k.replace("_", "-"), v)]
+        by_file = out_json(run_cli("geometry", "--config", cfg, *base))["config"]
+        by_flag = out_json(run_cli("geometry", "--" + key.replace("_", "-"), value,
+                                   *base))["config"]
+        assert by_file[key] == by_flag[key] == value
+        assert by_file == by_flag

@@ -170,6 +170,13 @@ class TestTrainConfig:
         {"stage": "patchwise", "window": 16},
         {"stage": "patchwise", "window": 60},
         {"stage": "imagewise", "window": 24},
+        # optimizer settings that would train on and then diverge
+        {"stage": "patchwise", "lr": float("nan")},
+        {"stage": "imagewise", "lr": float("inf")},
+        {"stage": "patchwise", "momentum": 1.5},
+        {"stage": "patchwise", "momentum": 1.0},
+        {"stage": "imagewise", "momentum": -0.1},
+        {"stage": "patchwise", "momentum": float("nan")},
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
