@@ -6,21 +6,8 @@ patch feature maps with a second, image-level network.  All tensor kernels,
 autodiff, geometry and training code live here; numpy supplies the underlying
 float32 buffers and matrix products.
 
-Submodules import lazily so the command-line entry point can pin BLAS thread
-counts (environment variables must be set before numpy loads).
+Importing the package loads no submodule, so the command-line entry point can
+pin BLAS thread counts (environment variables must be set before numpy loads).
 """
 
 __version__ = "0.1.0"
-
-__all__ = ["Tensor", "Tape", "__version__"]
-
-_LAZY = {"Tensor": "tensor", "Tape": "autodiff"}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        import importlib
-
-        module = importlib.import_module(f".{_LAZY[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -152,35 +152,35 @@ def cmd_geometry(cfg: dict, explicit: set[str], parser, command) -> dict:
     })
 
 
-def _rf_table(geoms, input_size: int) -> dict:
+def _rf_table(blocks, input_size: int) -> dict:
     from .geometry import output_size, receptive_field
 
-    sizes = output_size(geoms, input_size) if geoms else []
+    sizes = output_size(blocks, input_size) if blocks else []
     rows = []
-    for i, g in enumerate(geoms):
-        state = receptive_field(geoms[:i + 1])
-        rows.append({"layer": i + 1, "kernel": g.kernel, "stride": g.stride,
-                     "padding": g.padding, "r": state.r, "jump": state.jump,
+    for i, b in enumerate(blocks):
+        state = receptive_field(blocks[:i + 1])
+        rows.append({"layer": i + 1, "kernel": b.kernel, "stride": b.stride,
+                     "padding": b.padding, "r": state.r, "jump": state.jump,
                      "out_size": sizes[i]})
-    state = receptive_field(geoms)
+    state = receptive_field(blocks)
     return {"input": input_size, "layers": rows, "r": state.r, "jump": state.jump}
 
 
 def cmd_rf(cfg: dict, explicit: set[str], parser, command) -> dict:
-    from .geometry import max_stride_for_coverage, receptive_field
+    from .geometry import receptive_field
     from .model import canonical_imagewise_spec, canonical_patchwise_spec
 
     window = cfg["window"]
     pw = canonical_patchwise_spec(cfg["base_width"], cfg["feature_depth"])
     iw = canonical_imagewise_spec(feature_depth=cfg["feature_depth"],
                                   head_depth=cfg["head_depth"])
-    pw_geoms, iw_geoms = pw.conv_geoms(), iw.conv_geoms()
-    combined = pw_geoms + iw_geoms
+    combined = pw.blocks + iw.blocks
     return _payload("rf", cfg, {
-        "patchwise": _rf_table(pw_geoms, window),
-        "imagewise": _rf_table(iw_geoms, window // 8),
+        "patchwise": _rf_table(pw.blocks, window),
+        "imagewise": _rf_table(iw.blocks, window // 8),
         "combined": _rf_table(combined, window),
-        "max_stride_for_coverage": max_stride_for_coverage(receptive_field(combined)),
+        # the largest patch stride whose receptive fields leave no pixel uncovered
+        "max_stride_for_coverage": receptive_field(combined).r,
     })
 
 
@@ -272,8 +272,9 @@ def _stage_two(cfg: dict, explicit: set[str], with_image_net: bool):
     unless one was given, tiled without overlap (so the stride is the window
     too), its ``base_width``/``feature_depth``, and ``with_image_net`` the
     image checkpoint's ``head_depth``/``dropout``.  An explicit size that a
-    checkpoint contradicts is a ``ValueError``; a stored window that is not a
-    JSON integer or unusable stats are a ``CheckpointError``.  ``nets`` is
+    checkpoint contradicts, or an explicit stride other than the window, is a
+    ``ValueError``; a stored window that is not a JSON integer or unusable
+    stats are a ``CheckpointError``.  ``nets`` is
     ``(pw_spec, pw_params)``, then ``(iw_spec, iw_params)`` if loaded."""
     from .checkpoint import CheckpointError, load_checkpoint
     from .data import ManifestError, NormStats
@@ -303,6 +304,9 @@ def _stage_two(cfg: dict, explicit: set[str], with_image_net: bool):
             raise ValueError(f"{key} {json.dumps(cfg[key])} contradicts checkpoint "
                              f"{source}, which holds {json.dumps(value)}")
     check_window(window)
+    if "stride" in explicit and cfg["stride"] != window:
+        raise ValueError(f"stride {cfg['stride']} differs from window {window}: "
+                         "stage two tiles without overlap")
     ran = {key: value for key, (value, _) in stored.items()}
     return {**cfg, "window": window, "stride": window, **ran}, stats, nets
 

@@ -384,9 +384,9 @@ def synth_dataset(n_per_class: int, image_w: int, image_h: int,
     return images
 
 
-def split_manifest(records: Iterable[tuple[str, int]] | Iterable[ManifestRecord],
-                   val_fraction: float, seed: int) -> Manifest:
-    """Assign stratified train/val splits.
+def split_manifest(records: Iterable[tuple[str, int]], val_fraction: float,
+                   seed: int) -> Manifest:
+    """Assign stratified train/val splits to (path, label) pairs.
 
     Per-class val counts follow floor-plus-largest-remainder so the overall
     fraction is honored as closely as integers allow; every class keeps at
@@ -394,8 +394,7 @@ def split_manifest(records: Iterable[tuple[str, int]] | Iterable[ManifestRecord]
     """
     if not 0.0 < val_fraction < 1.0:
         raise ManifestError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    pairs = [(r.path, r.label) if isinstance(r, ManifestRecord) else (r[0], int(r[1]))
-             for r in records]
+    pairs = [(path, int(label)) for path, label in records]
     by_class: dict[int, list[int]] = {}
     for idx, (_, label) in enumerate(pairs):
         by_class.setdefault(label, []).append(idx)

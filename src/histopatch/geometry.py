@@ -2,27 +2,29 @@
 
 Everything here is integer math, parameterized rather than hard-coded, so the
 full-resolution configuration and the desk-scale one share the same formulas.
-``patch_windows`` is the one place that turns a grid into pixel crops.
+``patch_windows`` is the one place that turns a grid into pixel crops.  Layer
+stacks are sequences of ``model.ConvBlock``: only their ``kernel``, ``stride``
+and ``padding`` are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .model import ConvBlock
 
 __all__ = [
     "GeometryError",
     "PatchGrid",
-    "LayerGeom",
     "RFState",
-    "patch_count",
     "patch_coords",
     "patch_windows",
     "output_size",
     "receptive_field",
-    "max_stride_for_coverage",
 ]
 
 
@@ -72,12 +74,6 @@ class PatchGrid:
                 and (self.image_h - self.window) % self.stride == 0)
 
 
-def patch_count(image_w: int, image_h: int, window: int, stride: int) -> tuple[int, int]:
-    """Patch counts per axis; floor-division semantics."""
-    grid = PatchGrid(image_w, image_h, window, stride)
-    return grid.n_x, grid.n_y
-
-
 def patch_coords(grid: PatchGrid) -> list[tuple[int, int]]:
     """(x, y) offsets in row-major order: y outer, x inner."""
     return [(i * grid.stride, j * grid.stride)
@@ -101,23 +97,6 @@ def patch_windows(image: np.ndarray, grid: PatchGrid) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LayerGeom:
-    """Kernel/stride/padding of one layer, as geometry sees it."""
-
-    kernel: int
-    stride: int = 1
-    padding: int = 0
-
-    def __post_init__(self):
-        if self.kernel < 1:
-            raise GeometryError(f"kernel must be >= 1, got {self.kernel}")
-        if self.stride < 1 or self.padding < 0:
-            raise GeometryError(
-                f"stride must be >= 1 and padding >= 0, got {self.stride}, {self.padding}"
-            )
-
-
-@dataclass(frozen=True)
 class RFState:
     """Receptive field r and jump j, both in input pixels; identity is (1, 1)."""
 
@@ -125,7 +104,7 @@ class RFState:
     jump: int = 1
 
 
-def output_size(layers: Sequence[LayerGeom], size: int) -> list[int]:
+def output_size(layers: Sequence[ConvBlock], size: int) -> list[int]:
     """Spatial size after each layer: n' = floor((n + 2*pad - kernel)/stride) + 1."""
     sizes = []
     n = size
@@ -140,7 +119,7 @@ def output_size(layers: Sequence[LayerGeom], size: int) -> list[int]:
     return sizes
 
 
-def receptive_field(layers: Sequence[LayerGeom]) -> RFState:
+def receptive_field(layers: Sequence[ConvBlock]) -> RFState:
     """Fold r <- r + (kernel-1)*j then j <- j*stride over the stack.
 
     Padding shifts alignment only; it does not change r or j.
@@ -150,9 +129,3 @@ def receptive_field(layers: Sequence[LayerGeom]) -> RFState:
         r += (layer.kernel - 1) * j
         j *= layer.stride
     return RFState(r=r, jump=j)
-
-
-def max_stride_for_coverage(rf: RFState) -> int:
-    """Largest patch-extraction stride whose receptive fields still tile the
-    input with no uncovered pixel."""
-    return rf.r

@@ -26,8 +26,7 @@ import numpy as np
 from . import ops
 from .autodiff import Tape
 from .data import N_CLASSES
-from .geometry import (GeometryError, LayerGeom, PatchGrid, RFState, output_size,
-                       patch_windows, receptive_field)
+from .geometry import GeometryError, PatchGrid, output_size, patch_windows
 from .rng import derive
 from .tensor import Tensor
 
@@ -66,7 +65,8 @@ EVAL_BYTES = 8 << 20
 
 @dataclass(frozen=True)
 class ConvBlock:
-    """One conv -> batchnorm -> relu block; every conv of both stacks is one."""
+    """One conv -> batchnorm -> relu block; every conv of both stacks is one.
+    Its kernel, stride and padding are also what ``geometry`` folds."""
 
     in_ch: int
     out_ch: int
@@ -90,9 +90,6 @@ class NetworkSpec:
     dropout_rate: float | None = None
     blocks: tuple[ConvBlock, ...] = field(default=(), compare=False, repr=False)
     head: tuple[int, ...] = field(default=(), compare=False, repr=False)
-
-    def conv_geoms(self) -> list[LayerGeom]:
-        return [LayerGeom(b.kernel, b.stride, b.padding) for b in self.blocks]
 
     def to_dict(self) -> dict:
         """The kind and the sizes that this kind has."""
@@ -156,14 +153,8 @@ def canonical_patchwise_spec(base_width: int = 16, feature_depth: int = 16) -> N
                     (4 * b, *_SAME), (4 * b, *_SAME), (8 * b, *_DOWN),  # L7-L9
                     *[(8 * b, *_SAME)] * 6,                           # L10-L15
                     (feature_depth, 1, 1, 0))                        # L16, 1x1 feature head
-    spec = NetworkSpec("patchwise", base_width=base_width, feature_depth=feature_depth,
+    return NetworkSpec("patchwise", base_width=base_width, feature_depth=feature_depth,
                        blocks=blocks, head=(N_CLASSES,))
-    # construction-time pins: map size halves three times, receptive field
-    # and jump of the conv stack are fixed by the layer-type sequence
-    geoms = spec.conv_geoms()
-    assert output_size(geoms, 512)[-1] == 64
-    assert receptive_field(geoms) == RFState(r=132, jump=8)
-    return spec
 
 
 def canonical_imagewise_spec(n_patches: int = 12, feature_depth: int = 16,
@@ -183,13 +174,9 @@ def canonical_imagewise_spec(n_patches: int = 12, feature_depth: int = 16,
     blocks = _chain(n_patches * feature_depth, (64, *_SAME), (64, *_SAME), (128, *_DOWN),  # M1-M3
                     (128, *_SAME), (128, *_SAME), (256, *_DOWN),                          # M4-M6
                     (head_depth, 1, 1, 0))                                             # M7, 1x1
-    spec = NetworkSpec("imagewise", feature_depth=feature_depth, head_depth=head_depth,
+    return NetworkSpec("imagewise", feature_depth=feature_depth, head_depth=head_depth,
                        n_patches=n_patches, dropout_rate=dropout_rate,
                        blocks=blocks, head=(256, 128, N_CLASSES))
-    # the combined conv stacks of both networks must give receptive field 252
-    combined = canonical_patchwise_spec().conv_geoms() + spec.conv_geoms()
-    assert receptive_field(combined) == RFState(r=252, jump=32)
-    return spec
 
 
 def check_window(window: int) -> None:
@@ -199,7 +186,7 @@ def check_window(window: int) -> None:
     for name, spec, size in (("patch-wise", canonical_patchwise_spec(), window),
                              ("image-wise", canonical_imagewise_spec(), window // 8)):
         try:
-            output_size(spec.conv_geoms(), size)
+            output_size(spec.blocks, size)
         except GeometryError as e:
             raise GeometryError(f"window {window} is too small for the {name} "
                                 f"stack: {e}") from None
@@ -319,7 +306,7 @@ def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mod
         if mode == "train":
             cur = ops.batchnorm2d(cur, params[f"{bn}.gamma"], params[f"{bn}.beta"],
                                   params[f"{bn}.running_mean"], params[f"{bn}.running_var"],
-                                  mode, tape=tape)
+                                  tape=tape)
         cur = relu(cur)
     if features:
         return cur
@@ -341,8 +328,7 @@ def eval_batch_size(spec: NetworkSpec, sample_shape: tuple[int, int, int]) -> in
     Every layer gives a sample the same bits alone and in any batch, so
     this sets memory only, never an output."""
     c, h, w = sample_shape
-    geoms = spec.conv_geoms()
-    areas = [a * b for a, b in zip(output_size(geoms, h), output_size(geoms, w))]
+    areas = [a * b for a, b in zip(output_size(spec.blocks, h), output_size(spec.blocks, w))]
     widest = max([c * h * w] + [b.out_ch * a for b, a in zip(spec.blocks, areas)])
     return max(1, EVAL_BYTES // (widest * np.dtype(np.float32).itemsize))
 

@@ -1,13 +1,13 @@
 """Forward and backward implementations of every layer primitive.
 
 All functions take `Tensor` arguments and compute in float32; those training
-differentiates record a backward rule on a `Tape` when given one (softmax,
-concat_channels and eval-mode batchnorm2d take none).  Convolution is lowered onto
-GEMMs in one of three ways chosen from the layer's shape (shifted slices of
-the padded input for stride-1 convs, a reshape for non-overlapping windows,
-an im2col patch matrix otherwise; see the convolution section); its
-correctness is pinned against a naive direct-summation oracle in the test
-suite.
+differentiates record a backward rule on a `Tape` when given one (softmax and
+concat_channels take none).  Batch normalization exists in its train form
+only: eval forwards fold it into the conv.  Convolution is lowered onto GEMMs
+in one of three ways chosen from the layer's shape (shifted slices of the
+padded input for stride-1 convs, a reshape for non-overlapping windows, an
+im2col patch matrix otherwise; see the convolution section); its correctness
+is pinned against a naive direct-summation oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -309,22 +309,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 # Added to the variance under the square root; model.network_forward folds
 # eval-mode batchnorm into the preceding conv with the same value.
 BATCHNORM_EPS = 1e-5
+# Weight of the batch statistics in the running buffers' update.
+BATCHNORM_MOMENTUM = 0.1
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-                running_var: Tensor, mode: str, momentum: float = 0.1,
-                tape: Tape | None = None) -> Tensor:
-    """Per-channel batch normalization over (N, H, W).
+                running_var: Tensor, tape: Tape | None = None) -> Tensor:
+    """Per-channel batch normalization over (N, H, W), as in training.
 
-    Train mode normalizes with batch statistics and updates the running
-    buffers in place: running <- (1-momentum)*running + momentum*batch.
-    Eval mode normalizes with the running buffers only; it takes no tape
-    (eval forwards fold it into the conv, holding the fold to this).
+    Normalizes with batch statistics and updates the running buffers in
+    place: running <- (1-momentum)*running + momentum*batch, momentum
+    ``BATCHNORM_MOMENTUM``.  Eval forwards never call it: they fold the
+    running statistics into the conv (model.network_forward).
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" and tape is not None:
-        raise ValueError("batchnorm2d in eval mode is forward-only; it takes no tape")
     if x.ndim != 4:
         raise ValueError(f"batchnorm2d expects (N, C, H, W), got {x.shape}")
     n, c, h, wd = x.shape
@@ -332,23 +329,17 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                     ("running_mean", running_mean), ("running_var", running_var)):
         if t.shape != (c,):
             raise ValueError(f"batchnorm2d {name} shape {t.shape} != ({c},)")
-
-    if mode == "train":
-        m = n * h * wd
-        if m < 2:
-            raise ValueError(
-                f"batchnorm2d train mode needs N*H*W >= 2 for a defined variance, got {m}"
-            )
-        mean = x.data.mean(axis=(0, 2, 3))
-        centered = x.data - mean[None, :, None, None]
-        var = np.mean(centered * centered, axis=(0, 2, 3))
-        invstd = 1.0 / np.sqrt(var + np.float32(BATCHNORM_EPS))
-        xhat = centered * invstd[None, :, None, None]
-        running_mean.data[:] = (1.0 - momentum) * running_mean.data + momentum * mean
-        running_var.data[:] = (1.0 - momentum) * running_var.data + momentum * var
-    else:
-        invstd = 1.0 / np.sqrt(running_var.data + np.float32(BATCHNORM_EPS))
-        xhat = (x.data - running_mean.data[None, :, None, None]) * invstd[None, :, None, None]
+    m = n * h * wd
+    if m < 2:
+        raise ValueError(f"batchnorm2d needs N*H*W >= 2 for a defined variance, got {m}")
+    mean = x.data.mean(axis=(0, 2, 3))
+    centered = x.data - mean[None, :, None, None]
+    var = np.mean(centered * centered, axis=(0, 2, 3))
+    invstd = 1.0 / np.sqrt(var + np.float32(BATCHNORM_EPS))
+    xhat = centered * invstd[None, :, None, None]
+    momentum = BATCHNORM_MOMENTUM
+    running_mean.data[:] = (1.0 - momentum) * running_mean.data + momentum * mean
+    running_var.data[:] = (1.0 - momentum) * running_var.data + momentum * var
 
     out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
 

@@ -93,9 +93,12 @@ class TrainConfig:
             )
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+        # the network sizes and the dropout rate, as the two stacks check them
+        canonical_patchwise_spec(self.base_width, self.feature_depth)
+        canonical_imagewise_spec(feature_depth=self.feature_depth, head_depth=self.head_depth,
+                                 dropout_rate=self.dropout_rate)
         check_window(self.window)
+        PatchGrid(self.window, self.window, self.window, self.stride)  # stride >= 1
 
 
 @dataclass(frozen=True)

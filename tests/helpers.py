@@ -11,8 +11,7 @@ import numpy as np
 
 from histopatch import checkpoint, ops
 from histopatch.autodiff import Tape
-from histopatch.geometry import LayerGeom
-from histopatch.model import _param_entries
+from histopatch.model import ConvBlock, _param_entries
 from histopatch.tensor import Tensor
 
 
@@ -35,6 +34,16 @@ def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
                                 xx * stride:xx * stride + kw]
                     out[ni, o, y, xx] = np.sum(window * w64[o]) + b[o]
     return out
+
+
+def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
+                   running_var: Tensor) -> Tensor:
+    """Eval-mode batch normalization, (x - running_mean) / sqrt(running_var +
+    eps) * gamma + beta per channel, in float32: the reference the eval
+    forwards' folded conv is held to."""
+    invstd = 1.0 / np.sqrt(running_var.data + np.float32(ops.BATCHNORM_EPS))
+    xhat = (x.data - running_mean.data[None, :, None, None]) * invstd[None, :, None, None]
+    return Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
 
 
 def random_conv_case(rng: np.random.Generator):
@@ -71,7 +80,7 @@ def gradcheck_cases() -> list[tuple[str, callable, list[tuple[int, ...]]]]:
 
     def bn_train(x, g, b, tape=None):
         return ops.batchnorm2d(x, g, b, Tensor(np.zeros(3, np.float32)),
-                               Tensor(np.ones(3, np.float32)), "train", tape=tape)
+                               Tensor(np.ones(3, np.float32)), tape=tape)
 
     def ce(x, tape=None):
         return ops.cross_entropy(x, np.asarray([0, 1, 2, 3, 1]), tape=tape)
@@ -103,11 +112,12 @@ def gradcheck_cases() -> list[tuple[str, callable, list[tuple[int, ...]]]]:
 
 
 def random_small_stack(rng: np.random.Generator,
-                       max_r: int = 28) -> list[LayerGeom]:
-    """Random 1..3-layer unpadded conv stack with a modest receptive field."""
+                       max_r: int = 28) -> list[ConvBlock]:
+    """Random 1..3-layer unpadded 1-channel conv stack with a modest
+    receptive field."""
     while True:
         depth = int(rng.integers(1, 4))
-        geoms = [LayerGeom(kernel=int(rng.integers(1, 5)),
+        geoms = [ConvBlock(1, 1, kernel=int(rng.integers(1, 5)),
                            stride=int(rng.integers(1, 4)), padding=0)
                  for _ in range(depth)]
         r, jump = 1, 1
@@ -118,7 +128,7 @@ def random_small_stack(rng: np.random.Generator,
             return geoms
 
 
-def gradient_support(geoms: list[LayerGeom], out_x: int,
+def gradient_support(geoms: list[ConvBlock], out_x: int,
                      input_size: int) -> tuple[int, int]:
     """(first, last) input column influencing output unit (0, out_x), found
     by back-propagating a one-hot seed through an all-ones conv stack."""

@@ -30,9 +30,9 @@ from histopatch.checkpoint import (
     save_checkpoint,
 )
 from histopatch.geometry import (
+    PatchGrid,
     RFState,
     output_size,
-    patch_count,
     receptive_field,
 )
 from histopatch.gradcheck import grad_check
@@ -94,19 +94,19 @@ def _cli(cwd: Path, *args: str) -> dict:
 
 def test_criterion_01_patch_grid_counts():
     with _report(1, "patch grid counts: 35 overlapping / 12 tiled, both scales"):
-        assert patch_count(2048, 1536, 512, 256) == (7, 5)
-        assert 7 * 5 == 35
-        assert patch_count(2048, 1536, 512, 512) == (4, 3)
-        assert 4 * 3 == 12
-        assert patch_count(256, 192, 64, 32) == (7, 5)
-        assert patch_count(256, 192, 64, 64) == (4, 3)
+        for image_w, image_h, window, stride, counts, total in (
+                (2048, 1536, 512, 256, (7, 5), 35), (2048, 1536, 512, 512, (4, 3), 12),
+                (256, 192, 64, 32, (7, 5), 35), (256, 192, 64, 64, (4, 3), 12)):
+            grid = PatchGrid(image_w, image_h, window, stride)
+            assert (grid.n_x, grid.n_y) == counts
+            assert grid.total == total
 
 
 def test_criterion_02_receptive_field_pins():
     with _report(2, "receptive fields: combined 252, patch stack (132, 8), "
                     "oracle on 20 random stacks"):
-        pw = canonical_patchwise_spec().conv_geoms()
-        iw = canonical_imagewise_spec().conv_geoms()
+        pw = canonical_patchwise_spec().blocks
+        iw = canonical_imagewise_spec().blocks
         assert receptive_field(pw) == RFState(r=132, jump=8)
         assert receptive_field(pw + iw) == RFState(r=252, jump=32)
         for case in range(20):

@@ -208,8 +208,10 @@ class TestTrainCommands:
         for command, more in (("infer", ["--image", a["data"] / "c0_000.ppm"]),
                               ("eval", ["--manifest", a["manifest"]])):
             doc = out_json(run_cli(command, *ckpts, *more, "--base-width", "4",
-                                   "--head-depth", "64", "--dropout", "0.5"))
+                                   "--head-depth", "64", "--dropout", "0.5",
+                                   "--stride", "64"))
             assert doc["config"]["head_depth"] == 64 and doc["config"]["dropout"] == 0.5
+            assert doc["config"]["stride"] == 64
 
     @pytest.mark.parametrize("command, flag, message", [
         ("infer", "--base-width", "base_width 9 contradicts checkpoint {patch_ckpt}, "
@@ -245,6 +247,42 @@ class TestTrainCommands:
                        "--image", a["data"] / "c0_000.ppm", expect=2)
         assert proc.stderr.splitlines() == [
             f"error: dropout 0.25 contradicts checkpoint {a['image_ckpt']}, which holds 0.5"]
+
+    @pytest.mark.parametrize("command", ["train-image", "infer", "eval"])
+    def test_stride_other_than_window_exits_2(self, run_cli, tiny_cli_artifacts, tmp_path,
+                                              command):
+        # stage two tiles at the window; it refuses a stride it would ignore
+        a = tiny_cli_artifacts
+        more = {"train-image": ["--manifest", a["manifest"], "--out", tmp_path / "run"],
+                "infer": ["--image-checkpoint", a["image_ckpt"],
+                          "--image", a["data"] / "c0_000.ppm"],
+                "eval": ["--image-checkpoint", a["image_ckpt"], "--manifest", a["manifest"]]}
+        proc = run_cli(command, "--patch-checkpoint", a["patch_ckpt"], *more[command],
+                       "--stride", "16", expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: stride 16 differs from window 64: stage two tiles without overlap"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--stride", "stride must be >= 1, got 0"),
+        ("--base-width", "base_width and feature_depth must be >= 1"),
+        ("--feature-depth", "base_width and feature_depth must be >= 1"),
+        ("--head-depth", "n_patches, feature_depth and head_depth must be >= 1"),
+    ], ids=["stride", "base-width", "feature-depth", "head-depth"])
+    def test_bad_size_exits_2_before_any_image_is_read(self, run_cli, tmp_path, flag,
+                                                       message):
+        # one image of the manifest is gone, so reading the images would exit 3
+        data, out = tmp_path / "ds", tmp_path / "run"
+        run_cli("synth", "--out", data, "--n-per-class", "2",
+                "--image-w", "96", "--image-h", "64", "--seed", "1")
+        run_cli("stats", "--manifest", data / "manifest.json")
+        (data / "c0_000.ppm").unlink()
+        proc = run_cli("train-patch", "--manifest", data / "manifest.json", "--out", out,
+                       "--window", "32", flag, "0", expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: " + message]
+        assert not out.exists()
 
     def test_train_image_requires_patch_checkpoint(self, run_cli,
                                                    tiny_cli_artifacts, tmp_path):

@@ -6,19 +6,21 @@ import pytest
 
 from histopatch.geometry import (
     GeometryError,
-    LayerGeom,
     PatchGrid,
     RFState,
-    max_stride_for_coverage,
     output_size,
     patch_coords,
-    patch_count,
     patch_windows,
     receptive_field,
 )
-from histopatch.model import canonical_imagewise_spec, canonical_patchwise_spec
+from histopatch.model import ConvBlock, canonical_imagewise_spec, canonical_patchwise_spec
 
 from helpers import gradient_support, random_small_stack
+
+
+def conv(kernel, stride=1, padding=0):
+    """A 1-channel conv block: geometry reads only its kernel, stride and padding."""
+    return ConvBlock(1, 1, kernel, stride, padding)
 
 
 class TestPatchGrid:
@@ -35,8 +37,9 @@ class TestPatchGrid:
     def test_desk_scale_same_counts(self):
         # 256x192 with window 64 shares the full-resolution aspect ratio,
         # so the grid shapes carry over unchanged.
-        assert patch_count(256, 192, 64, 32) == (7, 5)
-        assert patch_count(256, 192, 64, 64) == (4, 3)
+        for stride, counts in ((32, (7, 5)), (64, (4, 3))):
+            grid = PatchGrid(256, 192, 64, stride)
+            assert (grid.n_x, grid.n_y) == counts
 
     def test_count_matches_exhaustive_enumeration(self):
         for image in range(1, 41):
@@ -129,16 +132,16 @@ class TestPatchWindows:
 
 class TestOutputSize:
     def test_single_layer_formula(self):
-        assert output_size([LayerGeom(kernel=3)], 64) == [62]
-        assert output_size([LayerGeom(kernel=3, padding=1)], 64) == [64]
-        assert output_size([LayerGeom(kernel=2, stride=2)], 64) == [32]
+        assert output_size([conv(3)], 64) == [62]
+        assert output_size([conv(3, 1, 1)], 64) == [64]
+        assert output_size([conv(2, 2)], 64) == [32]
 
     def test_chained(self):
-        layers = [LayerGeom(3, 1, 1), LayerGeom(2, 2, 0), LayerGeom(3, 1, 0)]
+        layers = [conv(3, 1, 1), conv(2, 2), conv(3)]
         assert output_size(layers, 16) == [16, 8, 6]
 
     def test_collapse_rejected_with_layer_index(self):
-        layers = [LayerGeom(3, 1, 0), LayerGeom(5, 1, 0)]
+        layers = [conv(3), conv(5)]
         with pytest.raises(GeometryError) as exc:
             output_size(layers, 5)
         assert "layer 1" in str(exc.value)
@@ -149,33 +152,29 @@ class TestReceptiveField:
         assert receptive_field([]) == RFState(r=1, jump=1)
 
     def test_single_3x3(self):
-        assert receptive_field([LayerGeom(3)]) == RFState(r=3, jump=1)
+        assert receptive_field([conv(3)]) == RFState(r=3, jump=1)
 
     def test_two_3x3(self):
-        assert receptive_field([LayerGeom(3), LayerGeom(3)]) == RFState(r=5, jump=1)
+        assert receptive_field([conv(3), conv(3)]) == RFState(r=5, jump=1)
 
     def test_stride_multiplies_jump(self):
-        rf = receptive_field([LayerGeom(3), LayerGeom(2, stride=2)])
+        rf = receptive_field([conv(3), conv(2, 2)])
         assert rf == RFState(r=4, jump=2)
 
     def test_padding_does_not_change_rf(self):
-        a = receptive_field([LayerGeom(3, 1, 0), LayerGeom(3, 1, 0)])
-        b = receptive_field([LayerGeom(3, 1, 1), LayerGeom(3, 1, 1)])
+        a = receptive_field([conv(3), conv(3)])
+        b = receptive_field([conv(3, 1, 1), conv(3, 1, 1)])
         assert a == b
 
     def test_patchwise_stack_pin(self):
-        geoms = canonical_patchwise_spec().conv_geoms()
-        assert receptive_field(geoms) == RFState(r=132, jump=8)
-        assert output_size(geoms, 512)[-1] == 64
+        blocks = canonical_patchwise_spec().blocks
+        assert receptive_field(blocks) == RFState(r=132, jump=8)
+        assert output_size(blocks, 512)[-1] == 64
 
     def test_combined_stack_pin(self):
-        pw = canonical_patchwise_spec().conv_geoms()
-        iw = canonical_imagewise_spec().conv_geoms()
+        pw = canonical_patchwise_spec().blocks
+        iw = canonical_imagewise_spec().blocks
         assert receptive_field(pw + iw) == RFState(r=252, jump=32)
-
-    def test_max_stride_equals_rf_size(self):
-        assert max_stride_for_coverage(RFState(r=252, jump=32)) == 252
-        assert max_stride_for_coverage(RFState(r=7, jump=2)) == 7
 
 
 class TestGradientSupportOracle:
@@ -198,7 +197,7 @@ class TestGradientSupportOracle:
         assert first1 - first0 == rf.jump
 
     def test_known_stack_support(self):
-        geoms = [LayerGeom(3), LayerGeom(2, stride=2)]
+        geoms = [conv(3), conv(2, 2)]
         rf = receptive_field(geoms)  # r=4, jump=2
         first0, last0 = gradient_support(geoms, 0, input_size=10)
         first1, last1 = gradient_support(geoms, 1, input_size=10)

@@ -24,6 +24,8 @@ from histopatch.model import (
 )
 from histopatch.tensor import Tensor
 
+from helpers import batchnorm_eval
+
 
 @pytest.fixture(scope="module")
 def small_pw():
@@ -275,16 +277,17 @@ def _perturbed_params(spec, seed):
 
 
 def _unfolded_eval(spec, params, x, features=False):
-    """Eval forward block by block through ops.conv2d, ops.batchnorm2d and
-    ops.relu: the reference the folded network_forward is held to."""
+    """Eval forward block by block through ops.conv2d, the eval batchnorm
+    reference and ops.relu: the reference the folded network_forward is held
+    to."""
     cur = x
     for k, block in enumerate(spec.blocks):
         c, n = f"{3 * k:02d}", f"{3 * k + 1:02d}"
         cur = ops.conv2d(cur, params[f"{c}.weight"], params[f"{c}.bias"],
                          stride=block.stride, padding=block.padding)
-        cur = ops.relu(ops.batchnorm2d(cur, params[f"{n}.gamma"], params[f"{n}.beta"],
-                                       params[f"{n}.running_mean"],
-                                       params[f"{n}.running_var"], "eval"))
+        cur = ops.relu(batchnorm_eval(cur, params[f"{n}.gamma"], params[f"{n}.beta"],
+                                      params[f"{n}.running_mean"],
+                                      params[f"{n}.running_var"]))
     if features:
         return cur.data
     cur = ops.global_avg_pool(cur)

@@ -22,7 +22,7 @@ from histopatch.ops import (
     softmax,
 )
 
-from helpers import naive_conv2d, random_conv_case
+from helpers import batchnorm_eval, naive_conv2d, random_conv_case
 
 
 class TestTensor:
@@ -192,7 +192,7 @@ class TestBatchnorm2d:
     def test_constant_input_train_zeros(self):
         g, b, rm, rv = self._stats(2)
         out = batchnorm2d(Tensor(np.full((2, 2, 3, 3), 7.0, dtype=np.float32)),
-                          g, b, rm, rv, mode="train")
+                          g, b, rm, rv)
         npt.assert_allclose(out.data, 0.0, atol=1e-4)
 
     def test_constant_input_affine(self):
@@ -200,7 +200,7 @@ class TestBatchnorm2d:
         g = Tensor(np.full(c, 2.0, dtype=np.float32))
         b = Tensor(np.full(c, 5.0, dtype=np.float32))
         out = batchnorm2d(Tensor(np.full((2, c, 3, 3), -3.0, dtype=np.float32)),
-                          g, b, zeros((c,)), ones((c,)), mode="train")
+                          g, b, zeros((c,)), ones((c,)))
         npt.assert_allclose(out.data, 5.0, atol=1e-3)
 
     def test_train_output_moments(self):
@@ -208,7 +208,7 @@ class TestBatchnorm2d:
         x = Tensor(rng.normal(1.5, 2.0, size=(2, 3, 4, 4)).astype(np.float32))
         g = Tensor(np.array([1.0, 2.0, 0.5], dtype=np.float32))
         b = Tensor(np.array([0.0, -1.0, 3.0], dtype=np.float32))
-        out = batchnorm2d(x, g, b, zeros((3,)), ones((3,)), mode="train")
+        out = batchnorm2d(x, g, b, zeros((3,)), ones((3,)))
         for ch in range(3):
             vals = out.data[:, ch]
             npt.assert_allclose(vals.mean(), b.data[ch], atol=1e-3)
@@ -221,49 +221,33 @@ class TestBatchnorm2d:
         rv = Tensor(np.array([2.0, 0.5], dtype=np.float32))
         batch_mean = x.data.mean(axis=(0, 2, 3))
         batch_var = x.data.var(axis=(0, 2, 3))
-        expect_rm = 0.9 * rm.data + 0.1 * batch_mean
+        expect_rm = 0.9 * rm.data + 0.1 * batch_mean  # momentum 0.1
         expect_rv = 0.9 * rv.data + 0.1 * batch_var
-        batchnorm2d(x, ones((2,)), zeros((2,)), rm, rv, mode="train", momentum=0.1)
+        batchnorm2d(x, ones((2,)), zeros((2,)), rm, rv)
         npt.assert_allclose(rm.data, expect_rm, rtol=1e-6)
         npt.assert_allclose(rv.data, expect_rv, rtol=1e-6)
 
     def test_population_variance_not_sample(self):
         # N*H*W = 2 makes the two conventions differ by a factor of 2.
         x = Tensor(np.array([0.0, 2.0], dtype=np.float32).reshape(2, 1, 1, 1))
-        rv = ones((1,))
-        batchnorm2d(x, ones((1,)), zeros((1,)), zeros((1,)), rv, mode="train",
-                    momentum=1.0)
-        npt.assert_allclose(rv.data, [1.0], rtol=1e-6)  # population var of {0, 2}
+        rv = zeros((1,))
+        batchnorm2d(x, ones((1,)), zeros((1,)), zeros((1,)), rv)
+        # momentum 0.1 times the population variance of {0, 2}, which is 1
+        npt.assert_allclose(rv.data, [0.1], rtol=1e-6)
 
     def test_eval_uses_running_stats(self):
+        # the eval reference the folded eval forwards are held to
         x = Tensor(np.array([3.0], dtype=np.float32).reshape(1, 1, 1, 1))
         rm = Tensor(np.array([1.0], dtype=np.float32))
         rv = Tensor(np.array([4.0], dtype=np.float32))
-        out = batchnorm2d(x, ones((1,)), zeros((1,)), rm, rv, mode="eval")
+        out = batchnorm_eval(x, ones((1,)), zeros((1,)), rm, rv)
         npt.assert_allclose(out.item(), (3.0 - 1.0) / np.sqrt(4.0 + 1e-5), rtol=1e-5)
 
     def test_degenerate_train_batch_rejected(self):
         x = ones((1, 2, 1, 1))
         g, b, rm, rv = self._stats(2)
         with pytest.raises(ValueError):
-            batchnorm2d(x, g, b, rm, rv, mode="train")
-        # the same shape is fine in eval mode
-        batchnorm2d(x, g, b, rm, rv, mode="eval")
-
-    def test_bad_mode_rejected(self):
-        g, b, rm, rv = self._stats(1)
-        with pytest.raises(ValueError):
-            batchnorm2d(ones((1, 1, 2, 2)), g, b, rm, rv, mode="test")
-
-    def test_eval_mode_refuses_a_tape(self):
-        # nothing trains through eval-mode batchnorm, so it records no rule
-        g, b, rm, rv = self._stats(2)
-        tape = Tape()
-        with pytest.raises(ValueError, match="eval mode is forward-only"):
-            batchnorm2d(ones((2, 2, 3, 3)), g, b, rm, rv, mode="eval", tape=tape)
-        assert len(tape) == 0
-        batchnorm2d(ones((2, 2, 3, 3)), g, b, rm, rv, mode="train", tape=tape)
-        assert len(tape) == 1
+            batchnorm2d(x, g, b, rm, rv)
 
 
 class TestRelu:

@@ -177,6 +177,12 @@ class TestTrainConfig:
         {"stage": "patchwise", "momentum": 1.0},
         {"stage": "imagewise", "momentum": -0.1},
         {"stage": "patchwise", "momentum": float("nan")},
+        # a stride or network size that would be refused only once images are read
+        {"stage": "patchwise", "stride": 0},
+        {"stage": "patchwise", "base_width": 0},
+        {"stage": "patchwise", "feature_depth": 0},
+        {"stage": "imagewise", "head_depth": 0},
+        {"stage": "imagewise", "feature_depth": -1},
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
