@@ -211,8 +211,9 @@ def _shifted_grad_w(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
     o = gout.shape[1]
     g = _Shifted(x.shape, kh, kw, padding, padding, o)
     gw = np.zeros((kh, kw, o, g.c), dtype=np.float32)
-    gwide = np.zeros((g.n, o, g.h2, g.wp), dtype=np.float32)
+    gwide = np.empty((g.n, o, g.h2, g.wp), dtype=np.float32)
     gwide[:, :, :, :g.w2] = gout
+    gwide[:, :, :, g.w2:] = 0
     gflat = gwide.reshape(g.n, o, -1)
     for lo, hi, r0, r1, flat in g.chunks(x):
         go = gflat[lo:hi, :, r0 * g.wp:r1 * g.wp]
@@ -234,9 +235,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     and the section comment).  The input gradient is the conv of the output
     gradient with the flipped, transposed kernel, lowered by the same rule
     on Cout (for the shifted lowering at padding kernel-1-padding).  A taped
-    shifted conv keeps only x for the backward pass; the other two keep
-    their patch matrix, which for non-overlapping windows is no larger
-    than x.
+    conv keeps only x and w for the backward pass, which the caller keeps
+    alive anyway: the im2col and blocks lowerings rebuild their patch
+    matrix from x there rather than hold it between the passes.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.shape} and {w.shape}")
@@ -260,18 +261,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     w2 = (wp - kw) // stride + 1
     lowering = _lowering(cin, kh, kw, stride, padding, h2 * w2)
 
-    cols = None
-    if lowering == "shifted":
-        y = _shifted_conv(x.data, w.data, padding, padding)
-        y += b.data[:, None, None]
-    else:
+    def patches() -> np.ndarray:
+        """The (N, Cin*kh*kw, L) patch matrix of the im2col and blocks lowerings."""
         if padding > 0:
             xp = np.zeros((n, cin, hp, wp), dtype=np.float32)
             xp[:, :, padding:padding + h, padding:padding + wd] = x.data
         else:
             xp = x.data
-        cols = _im2col(xp, kh, kw, stride)                  # (N, CKK, L)
-        y = np.matmul(w.data.reshape(cout, -1), cols)       # (N, Cout, L)
+        return _im2col(xp, kh, kw, stride)
+
+    if lowering == "shifted":
+        y = _shifted_conv(x.data, w.data, padding, padding)
+        y += b.data[:, None, None]
+    else:
+        y = np.matmul(w.data.reshape(cout, -1), patches())  # (N, Cout, L)
         y += b.data[:, None]
         y = y.reshape(n, cout, h2, w2)
     out = Tensor(y)
@@ -285,7 +288,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
             if lowering == "shifted":
                 gw = _shifted_grad_w(x.data, gout, kh, kw, padding)
             else:
-                gw = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+                gw = np.matmul(go, patches().transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
             if dx_lowering == "shifted":
                 flipped = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
                 gx = _shifted_conv(gout, flipped, kh - 1 - padding, kw - 1 - padding)
@@ -320,7 +323,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     Normalizes with batch statistics and updates the running buffers in
     place: running <- (1-momentum)*running + momentum*batch, momentum
     ``BATCHNORM_MOMENTUM``.  Eval forwards never call it: they fold the
-    running statistics into the conv (model.network_forward).
+    running statistics into the conv (model.network_forward).  A taped call
+    keeps only the per-channel mean and inverse std; the backward rebuilds
+    the normalized input from x, which the conv that made it keeps anyway.
     """
     if x.ndim != 4:
         raise ValueError(f"batchnorm2d expects (N, C, H, W), got {x.shape}")
@@ -336,23 +341,30 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     centered = x.data - mean[None, :, None, None]
     var = np.mean(centered * centered, axis=(0, 2, 3))
     invstd = 1.0 / np.sqrt(var + np.float32(BATCHNORM_EPS))
-    xhat = centered * invstd[None, :, None, None]
     momentum = BATCHNORM_MOMENTUM
     running_mean.data[:] = (1.0 - momentum) * running_mean.data + momentum * mean
     running_var.data[:] = (1.0 - momentum) * running_var.data + momentum * var
 
-    out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
+    # xhat = centered * invstd, then gamma*xhat + beta, in one buffer
+    y = centered
+    y *= invstd[None, :, None, None]
+    y *= gamma.data[None, :, None, None]
+    y += beta.data[None, :, None, None]
+    out = Tensor(y)
 
     if tape is not None:
         def backward(gout: np.ndarray):
             # With k = gamma*invstd per channel, the sums of gout*gamma and
             # of gout*gamma*xhat over (N, H, W) are gamma*gbeta and
             # gamma*ggamma, so gx = k*gout - k*gbeta/m - xhat*k*ggamma/m.
+            xhat = x.data - mean[None, :, None, None]       # the forward's xhat
+            xhat *= invstd[None, :, None, None]
             ggamma = (gout * xhat).sum(axis=(0, 2, 3))
             gbeta = gout.sum(axis=(0, 2, 3))
             k = gamma.data * invstd
             gx = gout * k[None, :, None, None]
-            gx -= xhat * (k * ggamma / m)[None, :, None, None]
+            xhat *= (k * ggamma / m)[None, :, None, None]
+            gx -= xhat
             gx -= (k * gbeta / m)[None, :, None, None]
             return gx, ggamma, gbeta, None, None
 
@@ -364,13 +376,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 # elementwise and dense layers
 
 def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
+    """Elementwise max(0, x); the subgradient at exactly 0 is 0.  A taped call
+    keeps nothing beyond its output, where x > 0 exactly where out > 0."""
     out = Tensor(np.maximum(x.data, 0.0))
     if tape is not None:
-        mask = x.data > 0.0
-
         def backward(gout: np.ndarray):
-            return (gout * mask,)
+            return (gout * (out.data > 0.0),)
 
         tape.record((x,), out, backward)
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "zeros", "ones", "full"]
+__all__ = ["Tensor"]
 
 
 class Tensor:
@@ -59,15 +59,3 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
-
-
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=np.float32), requires_grad=requires_grad)

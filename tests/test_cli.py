@@ -103,12 +103,22 @@ class TestSynthCommand:
         proc = run_cli("synth", "--out", out, "--n-per-class", "1",
                        "--image-w", "96", "--image-h", "64", "--seed", "1", expect=2)
         assert proc.stderr.splitlines() == ["error: class 0 has 1 image(s), need at least 2"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes", [("--n-per-class", "0"),
+                                       ("--n-per-class", "2", "--val-fraction", "0")],
+                             ids=["no images", "no val split"])
+    def test_refused_sizes_make_no_directory(self, run_cli, tmp_path, sizes):
+        out = tmp_path / "ds"
+        proc = run_cli("synth", "--out", out, *sizes, "--image-w", "96", "--image-h", "64",
+                       expect=2)
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
 
     def test_unwritable_out_exits_3(self, run_cli, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
-        run_cli("synth", "--out", blocker / "nested", "--n-per-class", "1",
+        run_cli("synth", "--out", blocker / "nested", "--n-per-class", "2",
                 "--image-w", "96", "--image-h", "64", expect=3)
 
 

@@ -261,6 +261,52 @@ class TestForwardShapes:
         npt.assert_array_equal(a.data, b.data)
 
 
+class TestTrainStepMemory:
+    """Bytes a taped stage-one step holds, at desk geometry (64x64 patches,
+    B=C=8).  Each conv -> batchnorm -> relu block keeps its three outputs
+    and per-channel statistics, nothing else (no patch matrix, no normalized
+    copy, no relu mask); the tape's replay frees as it goes."""
+
+    N = 8
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        spec = canonical_patchwise_spec(base_width=8, feature_depth=8)
+        block_bytes, side = [], 64
+        for block in spec.blocks:
+            side = (side + 2 * block.padding - block.kernel) // block.stride + 1
+            block_bytes.append(self.N * 4 * block.out_ch * side * side)
+        return spec, init_params(spec, seed=0), block_bytes
+
+    def _traced_step(self, spec, params):
+        x = Tensor(np.random.default_rng(9).normal(size=(self.N, 3, 64, 64)).astype(np.float32))
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            logits = patchwise_logits(spec, params, x, "train", tape=tape)
+            forward_kept = tracemalloc.get_traced_memory()[0] - before
+            loss = ops.cross_entropy(logits, np.arange(self.N) % 4, tape=tape)
+            step_kept = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            backward_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return x, forward_kept, step_kept, backward_peak
+
+    def test_forward_keeps_three_arrays_per_block(self, desk):
+        spec, params, block_bytes = desk
+        x, kept, _, _ = self._traced_step(spec, {k: t.copy() for k, t in params.items()})
+        bound = 3 * sum(block_bytes) + x.data.nbytes
+        assert kept <= bound, kept / bound
+
+    def test_backward_peaks_two_block_outputs_above_the_forward(self, desk):
+        spec, params, block_bytes = desk
+        _, _, kept, peak = self._traced_step(spec, {k: t.copy() for k, t in params.items()})
+        assert peak <= kept + 2 * max(block_bytes), (peak - kept) / max(block_bytes)
+
+
 def _perturbed_params(spec, seed):
     """init_params with non-trivial biases, gammas, betas and running stats."""
     params = init_params(spec, seed=seed)

@@ -9,7 +9,7 @@ import pytest
 
 from histopatch import ops
 from histopatch.autodiff import Tape
-from histopatch.tensor import Tensor, ones, zeros
+from histopatch.tensor import Tensor
 from histopatch.ops import (
     batchnorm2d,
     concat_channels,
@@ -57,40 +57,42 @@ class TestTensor:
 
 class TestConv2d:
     def test_all_ones_3x3(self):
-        x = ones((1, 1, 3, 3))
-        w = ones((1, 1, 3, 3))
-        b = zeros((1,))
+        x = Tensor(np.ones((1, 1, 3, 3)))
+        w = Tensor(np.ones((1, 1, 3, 3)))
+        b = Tensor(np.zeros((1,)))
         out = conv2d(x, w, b)
         assert out.shape == (1, 1, 1, 1)
         assert out.item() == 9.0
 
     def test_all_ones_padding_1(self):
-        x = ones((1, 1, 3, 3))
-        w = ones((1, 1, 3, 3))
-        b = zeros((1,))
+        x = Tensor(np.ones((1, 1, 3, 3)))
+        w = Tensor(np.ones((1, 1, 3, 3)))
+        b = Tensor(np.zeros((1,)))
         out = conv2d(x, w, b, stride=1, padding=1)
         expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=np.float32)
         npt.assert_array_equal(out.data[0, 0], expected)
 
     def test_stride_2_output_shape(self):
-        out = conv2d(ones((1, 1, 4, 4)), ones((1, 1, 2, 2)), zeros((1,)), stride=2)
+        out = conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))),
+                     Tensor(np.zeros((1,))), stride=2)
         assert out.shape == (1, 1, 2, 2)
 
     def test_channel_mismatch_names_both_shapes(self):
-        x = ones((1, 3, 5, 5))
-        w = ones((2, 4, 3, 3))
+        x = Tensor(np.ones((1, 3, 5, 5)))
+        w = Tensor(np.ones((2, 4, 3, 3)))
         with pytest.raises(ValueError) as exc:
-            conv2d(x, w, zeros((2,)))
+            conv2d(x, w, Tensor(np.zeros((2,))))
         msg = str(exc.value)
         assert "(1, 3, 5, 5)" in msg and "(2, 4, 3, 3)" in msg
 
     def test_kernel_larger_than_padded_input_rejected(self):
         with pytest.raises(ValueError):
-            conv2d(ones((1, 1, 2, 2)), ones((1, 1, 3, 3)), zeros((1,)))
+            conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))),
+                   Tensor(np.zeros((1,))))
 
     def test_bias_shifts_every_output(self):
-        x = zeros((1, 2, 4, 4))
-        w = zeros((3, 2, 3, 3))
+        x = Tensor(np.zeros((1, 2, 4, 4)))
+        w = Tensor(np.zeros((3, 2, 3, 3)))
         b = Tensor(np.array([1.0, -2.0, 0.5], dtype=np.float32))
         out = conv2d(x, w, b, padding=1)
         for o, v in enumerate([1.0, -2.0, 0.5]):
@@ -187,7 +189,8 @@ class TestConv2d:
 
 class TestBatchnorm2d:
     def _stats(self, c):
-        return (ones((c,)), zeros((c,)), zeros((c,)), ones((c,)))
+        return (Tensor(np.ones((c,))), Tensor(np.zeros((c,))),
+                Tensor(np.zeros((c,))), Tensor(np.ones((c,))))
 
     def test_constant_input_train_zeros(self):
         g, b, rm, rv = self._stats(2)
@@ -200,7 +203,7 @@ class TestBatchnorm2d:
         g = Tensor(np.full(c, 2.0, dtype=np.float32))
         b = Tensor(np.full(c, 5.0, dtype=np.float32))
         out = batchnorm2d(Tensor(np.full((2, c, 3, 3), -3.0, dtype=np.float32)),
-                          g, b, zeros((c,)), ones((c,)))
+                          g, b, Tensor(np.zeros((c,))), Tensor(np.ones((c,))))
         npt.assert_allclose(out.data, 5.0, atol=1e-3)
 
     def test_train_output_moments(self):
@@ -208,7 +211,7 @@ class TestBatchnorm2d:
         x = Tensor(rng.normal(1.5, 2.0, size=(2, 3, 4, 4)).astype(np.float32))
         g = Tensor(np.array([1.0, 2.0, 0.5], dtype=np.float32))
         b = Tensor(np.array([0.0, -1.0, 3.0], dtype=np.float32))
-        out = batchnorm2d(x, g, b, zeros((3,)), ones((3,)))
+        out = batchnorm2d(x, g, b, Tensor(np.zeros((3,))), Tensor(np.ones((3,))))
         for ch in range(3):
             vals = out.data[:, ch]
             npt.assert_allclose(vals.mean(), b.data[ch], atol=1e-3)
@@ -223,15 +226,15 @@ class TestBatchnorm2d:
         batch_var = x.data.var(axis=(0, 2, 3))
         expect_rm = 0.9 * rm.data + 0.1 * batch_mean  # momentum 0.1
         expect_rv = 0.9 * rv.data + 0.1 * batch_var
-        batchnorm2d(x, ones((2,)), zeros((2,)), rm, rv)
+        batchnorm2d(x, Tensor(np.ones((2,))), Tensor(np.zeros((2,))), rm, rv)
         npt.assert_allclose(rm.data, expect_rm, rtol=1e-6)
         npt.assert_allclose(rv.data, expect_rv, rtol=1e-6)
 
     def test_population_variance_not_sample(self):
         # N*H*W = 2 makes the two conventions differ by a factor of 2.
         x = Tensor(np.array([0.0, 2.0], dtype=np.float32).reshape(2, 1, 1, 1))
-        rv = zeros((1,))
-        batchnorm2d(x, ones((1,)), zeros((1,)), zeros((1,)), rv)
+        rv = Tensor(np.zeros((1,)))
+        batchnorm2d(x, Tensor(np.ones((1,))), Tensor(np.zeros((1,))), Tensor(np.zeros((1,))), rv)
         # momentum 0.1 times the population variance of {0, 2}, which is 1
         npt.assert_allclose(rv.data, [0.1], rtol=1e-6)
 
@@ -240,11 +243,11 @@ class TestBatchnorm2d:
         x = Tensor(np.array([3.0], dtype=np.float32).reshape(1, 1, 1, 1))
         rm = Tensor(np.array([1.0], dtype=np.float32))
         rv = Tensor(np.array([4.0], dtype=np.float32))
-        out = batchnorm_eval(x, ones((1,)), zeros((1,)), rm, rv)
+        out = batchnorm_eval(x, Tensor(np.ones((1,))), Tensor(np.zeros((1,))), rm, rv)
         npt.assert_allclose(out.item(), (3.0 - 1.0) / np.sqrt(4.0 + 1e-5), rtol=1e-5)
 
     def test_degenerate_train_batch_rejected(self):
-        x = ones((1, 2, 1, 1))
+        x = Tensor(np.ones((1, 2, 1, 1)))
         g, b, rm, rv = self._stats(2)
         with pytest.raises(ValueError):
             batchnorm2d(x, g, b, rm, rv)
@@ -282,13 +285,13 @@ class TestLinear:
     def test_identity_weight(self):
         x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
         w = Tensor(np.eye(3, dtype=np.float32))
-        out = linear(x, w, zeros((3,)))
+        out = linear(x, w, Tensor(np.zeros((3,))))
         npt.assert_array_equal(out.data, x.data)
 
     def test_zero_weight_rows_equal_bias(self):
         x = Tensor(np.random.default_rng(3).normal(size=(4, 5)).astype(np.float32))
         b = Tensor(np.array([1.0, -2.0], dtype=np.float32))
-        out = linear(x, zeros((2, 5)), b)
+        out = linear(x, Tensor(np.zeros((2, 5))), b)
         npt.assert_array_equal(out.data, np.tile(b.data, (4, 1)))
 
     def test_matches_naive_product(self):
@@ -306,7 +309,7 @@ class TestLinear:
 
     def test_feature_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            linear(ones((2, 3)), ones((4, 5)), zeros((4,)))
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.zeros((4,))))
 
     @pytest.mark.parametrize("n, f, g", [(32, 64, 256), (32, 256, 128), (64, 8, 4)])
     def test_row_alone_equals_its_slice_of_the_batch(self, n, f, g):
@@ -327,28 +330,28 @@ class TestDropout:
         npt.assert_array_equal(out.data, x.data)
 
     def test_train_mean_preserved(self):
-        x = ones((100_000,))
+        x = Tensor(np.ones((100_000,)))
         out = dropout(x, 0.5, rng=np.random.default_rng(42))
         assert 0.98 <= float(out.data.mean()) <= 1.02
 
     def test_survivor_scale(self):
-        x = ones((1000,))
+        x = Tensor(np.ones((1000,)))
         out = dropout(x, 0.25, rng=np.random.default_rng(5))
         kept = out.data[out.data != 0.0]
         npt.assert_allclose(kept, 1.0 / 0.75, rtol=1e-6)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            dropout(ones((4,)), 1.0, rng=np.random.default_rng(0))
+            dropout(Tensor(np.ones((4,))), 1.0, rng=np.random.default_rng(0))
 
     def test_train_without_rng_rejected(self):
         with pytest.raises(ValueError):
-            dropout(ones((4,)), 0.5)
+            dropout(Tensor(np.ones((4,))), 0.5)
 
 
 class TestSoftmax:
     def test_uniform(self):
-        out = softmax(zeros((1, 4)))
+        out = softmax(Tensor(np.zeros((1, 4))))
         npt.assert_allclose(out.data, [[0.25] * 4], rtol=1e-6)
 
     def test_shift_invariance(self):
@@ -379,12 +382,12 @@ class TestSoftmax:
 
     def test_forward_only(self):
         with pytest.raises(TypeError):
-            softmax(zeros((1, 4)), tape=Tape())
+            softmax(Tensor(np.zeros((1, 4))), tape=Tape())
 
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss = cross_entropy(zeros((2, 4)), np.array([0, 3]))
+        loss = cross_entropy(Tensor(np.zeros((2, 4))), np.array([0, 3]))
         npt.assert_allclose(loss.item(), np.log(4.0), rtol=1e-6)
 
     def test_monotone_in_true_logit(self):
@@ -405,9 +408,9 @@ class TestCrossEntropy:
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy(zeros((2, 4)), np.array([0, 4]))
+            cross_entropy(Tensor(np.zeros((2, 4))), np.array([0, 4]))
         with pytest.raises(ValueError):
-            cross_entropy(zeros((2, 4)), np.array([-1, 0]))
+            cross_entropy(Tensor(np.zeros((2, 4))), np.array([-1, 0]))
 
 
 class TestGlobalAvgPool:
@@ -445,8 +448,8 @@ class TestConcatChannels:
 
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            concat_channels([ones((1, 4, 4)), ones((1, 4, 5))])
+            concat_channels([Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 4, 5)))])
 
     def test_forward_only(self):
         with pytest.raises(TypeError):
-            concat_channels([ones((1, 4, 4))], tape=Tape())
+            concat_channels([Tensor(np.ones((1, 4, 4)))], tape=Tape())
