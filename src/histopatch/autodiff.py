@@ -17,9 +17,8 @@ from .tensor import Tensor
 
 __all__ = ["Tape"]
 
-# A backward rule maps the output gradient to one gradient per recorded input;
-# None entries mark inputs that do not receive gradients (e.g. running stats).
-BackwardRule = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
+# A backward rule maps the output gradient to one gradient per recorded input.
+BackwardRule = Callable[[np.ndarray], Sequence[np.ndarray]]
 
 
 class Tape:
@@ -68,8 +67,6 @@ class Tape:
             if output is not loss:
                 output.grad = None
             for tensor, grad in zip(inputs, grads):
-                if grad is None:
-                    continue
                 if tensor.grad is None and _ownable(grad, tensor, grads, output):
                     tensor.grad = grad
                 else:

@@ -37,7 +37,6 @@ __all__ = [
     "canonical_imagewise_spec",
     "check_window",
     "init_params",
-    "trainable_names",
     "network_forward",
     "eval_batch_size",
     "patchwise_logits",
@@ -226,11 +225,6 @@ def _param_entries(spec: NetworkSpec):
 
 
 _TRAINABLE_ROLES = ("weight", "bias", "gamma", "beta")
-
-
-def trainable_names(spec: NetworkSpec) -> list[str]:
-    """Unique names of every trainable tensor (running stats excluded)."""
-    return [name for name, role, _ in _param_entries(spec) if role in _TRAINABLE_ROLES]
 
 
 def init_params(spec: NetworkSpec, seed: int) -> dict[str, Tensor]:

@@ -312,20 +312,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 # Added to the variance under the square root; model.network_forward folds
 # eval-mode batchnorm into the preceding conv with the same value.
 BATCHNORM_EPS = 1e-5
-# Weight of the batch statistics in the running buffers' update.
-BATCHNORM_MOMENTUM = 0.1
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                 running_var: Tensor, tape: Tape | None = None) -> Tensor:
     """Per-channel batch normalization over (N, H, W), as in training.
 
-    Normalizes with batch statistics and updates the running buffers in
-    place: running <- (1-momentum)*running + momentum*batch, momentum
-    ``BATCHNORM_MOMENTUM``.  Eval forwards never call it: they fold the
-    running statistics into the conv (model.network_forward).  A taped call
-    keeps only the per-channel mean and inverse std; the backward rebuilds
-    the normalized input from x, which the conv that made it keeps anyway.
+    Normalizes with batch statistics and writes them (the mean and the
+    population variance) into the running buffers in place, with no moving
+    average; trainer._fit sets the statistics that eval forwards fold into
+    the conv (model.network_forward), and they never call this.  A taped
+    call records x, gamma and beta and keeps only the per-channel mean and
+    inverse std; the backward rebuilds the normalized input from x, which
+    the conv that made it keeps anyway.
     """
     if x.ndim != 4:
         raise ValueError(f"batchnorm2d expects (N, C, H, W), got {x.shape}")
@@ -341,9 +340,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     centered = x.data - mean[None, :, None, None]
     var = np.mean(centered * centered, axis=(0, 2, 3))
     invstd = 1.0 / np.sqrt(var + np.float32(BATCHNORM_EPS))
-    momentum = BATCHNORM_MOMENTUM
-    running_mean.data[:] = (1.0 - momentum) * running_mean.data + momentum * mean
-    running_var.data[:] = (1.0 - momentum) * running_var.data + momentum * var
+    running_mean.data[:] = mean
+    running_var.data[:] = var
 
     # xhat = centered * invstd, then gamma*xhat + beta, in one buffer
     y = centered
@@ -366,9 +364,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
             xhat *= (k * ggamma / m)[None, :, None, None]
             gx -= xhat
             gx -= (k * gbeta / m)[None, :, None, None]
-            return gx, ggamma, gbeta, None, None
+            return gx, ggamma, gbeta
 
-        tape.record((x, gamma, beta, running_mean, running_var), out, backward)
+        tape.record((x, gamma, beta), out, backward)
     return out
 
 

@@ -48,9 +48,6 @@ class Tensor:
         out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
         return out
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Sum ``g`` into the gradient buffer, allocating zeros on first use."""
         if self.grad is None:

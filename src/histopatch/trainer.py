@@ -37,7 +37,6 @@ from .model import (
     init_params,
     network_forward,
     patchwise_logits,
-    trainable_names,
 )
 from .rng import derive
 from .tensor import Tensor
@@ -234,6 +233,10 @@ def _log(log: Logger | None, msg: str) -> None:
 # ---------------------------------------------------------------------------
 # the training loop both stages share
 
+# Leading batches of an epoch whose batchnorm statistics eval forwards read (see _fit).
+STAT_BATCHES = 16
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(spec: NetworkSpec, config: TrainConfig, labels: np.ndarray,
          gather: Callable[[np.ndarray], np.ndarray], forward: Callable[..., Tensor],
@@ -244,32 +247,36 @@ def _fit(spec: NetworkSpec, config: TrainConfig, labels: np.ndarray,
 
     ``gather(idxs)`` assembles a training batch, ``forward(params, batch,
     tape, dropout_rng)`` gives its logits and ``validate(params)`` a
-    validation confusion matrix.  A step whose loss, gradients, weights or
-    batchnorm running statistics hold a non-finite value stops the run with
-    a ValueError (numpy's overflow warnings are muted, as this check
-    reports them).  Returns the best epoch's parameters and the run's
-    metrics.
+    validation confusion matrix.  SGD trains the tensors that require a
+    gradient.  The rest, the batchnorm running statistics, are measured:
+    before each validation they are set to the mean of what untaped
+    train-mode forwards of the epoch's first ``STAT_BATCHES`` batches write
+    into them (precise BN, Wu & Johnson 2021, arXiv 2105.07576).  A step
+    whose loss, gradients, weights or batchnorm statistics hold a
+    non-finite value stops the run with a ValueError (numpy's overflow
+    warnings are muted, as this check reports them).  Returns the best
+    epoch's parameters and the run's metrics.
     """
     params = init_params(spec, config.seed)
-    trainables = trainable_names(spec)
+    trainables = [n for n, t in params.items() if t.requires_grad]
+    measured = [t for t in params.values() if not t.requires_grad]
     velocity = {n: np.zeros_like(params[n].data) for n in trainables}
 
     epochs: list[EpochRecord] = []
-    best_params = _snapshot(params)
-    best_epoch = -1
     for epoch in range(config.max_epochs):
         perm = derive(config.seed, _SHUFFLE_STREAMS[spec.kind], epoch).permutation(len(labels))
-        batches = np.split(perm, range(config.batch_size, len(perm), config.batch_size))
-        loss_sum, n_sum = 0.0, 0
         # a straggler smaller than 2 is dropped: batch norm needs a variance
-        for batch_i, idxs in enumerate(b for b in batches if len(b) >= 2):
+        batches = [b for b in np.split(perm, range(config.batch_size, len(perm),
+                                                   config.batch_size)) if len(b) >= 2]
+        loss_sum, n_sum = 0.0, 0
+        for batch_i, idxs in enumerate(batches):
             tape = Tape()
             counter = epoch * 1_000_000 + batch_i
             logits = forward(params, Tensor(gather(idxs)), tape,
                              lambda layer: derive(config.seed, f"dropout.l{layer}", counter))
             loss = ops.cross_entropy(logits, labels[idxs], tape=tape)
             for n in trainables:
-                params[n].zero_grad()
+                params[n].grad = None
             tape.backward(loss)
             grads = {n: params[n].grad for n in trainables}
             sgd_step(params, grads, velocity, config.lr, config.momentum)
@@ -282,7 +289,15 @@ def _fit(spec: NetworkSpec, config: TrainConfig, labels: np.ndarray,
             loss_sum += loss.item() * len(idxs)
             n_sum += len(idxs)
 
-        val_acc, _, _ = metrics_from_confusion(validate(params))
+        seen = []
+        for idxs in batches[:STAT_BATCHES]:
+            network_forward(spec, params, Tensor(gather(idxs)), "train", features=True)
+            seen.append([t.data.copy() for t in measured])
+        for t, values in zip(measured, zip(*seen)):
+            t.data[:] = np.mean(values, axis=0)
+
+        confusion = validate(params)
+        val_acc, _, _ = metrics_from_confusion(confusion)
         epochs.append(EpochRecord(epoch, loss_sum / n_sum, val_acc))
         _log(log, f"epoch {epoch}: train_loss {loss_sum / n_sum:.4f} "
                   f"val_acc {val_acc:.4f}")
@@ -290,14 +305,13 @@ def _fit(spec: NetworkSpec, config: TrainConfig, labels: np.ndarray,
             epoch_hook(epoch, params)
         stop, best_epoch = early_stop([e.val_acc for e in epochs], config.patience)
         if best_epoch == epoch:
-            best_params = _snapshot(params)
+            best_params, best_confusion = _snapshot(params), confusion
         if stop:
             _log(log, f"early stop after epoch {epoch}, best epoch {best_epoch}")
             break
 
-    confusion = validate(best_params)
-    accuracy, precision, recall = metrics_from_confusion(confusion)
-    metrics = Metrics(epochs=epochs, confusion=confusion.tolist(),
+    accuracy, precision, recall = metrics_from_confusion(best_confusion)
+    metrics = Metrics(epochs=epochs, confusion=best_confusion.tolist(),
                       accuracy=accuracy, precision=precision, recall=recall,
                       best_epoch=best_epoch)
     return best_params, metrics

@@ -12,10 +12,10 @@ from histopatch.checkpoint import (
     save_checkpoint,
 )
 from histopatch.model import (
+    _param_entries,
     canonical_imagewise_spec,
     canonical_patchwise_spec,
     init_params,
-    trainable_names,
 )
 from histopatch.tensor import Tensor
 
@@ -70,9 +70,9 @@ def test_trainable_flags_restored(tmp_path, small_pw):
     path = tmp_path / "pw.ckpt"
     save_checkpoint(path, spec, params)
     _, params2, _ = load_checkpoint(path)
-    names = set(trainable_names(spec))
-    for name, t in params2.items():
-        assert t.requires_grad == (name in names), name
+    assert list(params2) == [name for name, _, _ in _param_entries(spec)]
+    for name, role, _ in _param_entries(spec):
+        assert params2[name].requires_grad == (role in ("weight", "bias", "gamma", "beta")), name
 
 
 def test_expect_kind(tmp_path, small_pw):

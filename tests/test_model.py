@@ -20,7 +20,6 @@ from histopatch.model import (
     init_params,
     network_forward,
     patchwise_logits,
-    trainable_names,
 )
 from histopatch.tensor import Tensor
 
@@ -184,14 +183,16 @@ class TestInitParams:
     def test_trainable_flags(self):
         spec = canonical_imagewise_spec(n_patches=4, feature_depth=4, head_depth=8)
         params = init_params(spec, seed=0)
-        names = set(trainable_names(spec))
-        for name, t in params.items():
-            assert t.requires_grad == (name in names), name
+        for name, role, _ in model._param_entries(spec):
+            assert params[name].requires_grad == (role in ("weight", "bias", "gamma", "beta")), name
 
     def test_running_stats_not_trainable(self):
         spec = canonical_patchwise_spec(base_width=4, feature_depth=4)
-        for name in trainable_names(spec):
-            assert "running" not in name
+        params = init_params(spec, seed=0)
+        running = [name for name, role, _ in model._param_entries(spec)
+                   if role in ("running_mean", "running_var")]
+        assert len(running) == 2 * len(spec.blocks)
+        assert not any(params[name].requires_grad for name in running)
 
 
 class TestForwardShapes:
@@ -421,6 +422,18 @@ class TestEvalFold:
         network_forward(spec, train_params, x, "train",
                         dropout_rng=lambda i: np.random.default_rng(i))
         assert calls == {"conv2d": n_conv, "batchnorm2d": n_conv, "relu": n_relu}
+
+    @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: c[0])
+    def test_eval_of_the_batch_the_statistics_came_from_matches_train(self, case):
+        # a train-mode forward leaves its batch's statistics in the running
+        # buffers, so an eval forward of that batch normalizes it the same way
+        kind, spec, params, x = case
+        params = {name: t.copy() for name, t in params.items()}
+        train = network_forward(spec, params, x, "train", features=True).data
+        self._assert_close(network_forward(spec, params, x, "eval", features=True).data, train)
+        if kind == "patchwise":
+            train = network_forward(spec, params, x, "train").data
+            self._assert_close(network_forward(spec, params, x, "eval").data, train)
 
     def test_tile_alone_equals_its_slice_of_the_batch(self):
         spec = canonical_patchwise_spec(base_width=4, feature_depth=3)

@@ -51,7 +51,7 @@ class TestTensor:
         t.accumulate_grad(np.ones(3, dtype=np.float32))
         t.accumulate_grad(np.full(3, 2.0, dtype=np.float32))
         npt.assert_array_equal(t.grad, np.full(3, 3.0, dtype=np.float32))
-        t.zero_grad()
+        t.grad = None
         assert t.grad is None
 
 
@@ -222,10 +222,9 @@ class TestBatchnorm2d:
         x = Tensor(rng.normal(size=(2, 2, 3, 3)).astype(np.float32))
         rm = Tensor(np.array([1.0, -1.0], dtype=np.float32))
         rv = Tensor(np.array([2.0, 0.5], dtype=np.float32))
-        batch_mean = x.data.mean(axis=(0, 2, 3))
-        batch_var = x.data.var(axis=(0, 2, 3))
-        expect_rm = 0.9 * rm.data + 0.1 * batch_mean  # momentum 0.1
-        expect_rv = 0.9 * rv.data + 0.1 * batch_var
+        # no moving average: the buffers hold the batch's statistics
+        expect_rm = x.data.mean(axis=(0, 2, 3))
+        expect_rv = x.data.var(axis=(0, 2, 3))
         batchnorm2d(x, Tensor(np.ones((2,))), Tensor(np.zeros((2,))), rm, rv)
         npt.assert_allclose(rm.data, expect_rm, rtol=1e-6)
         npt.assert_allclose(rv.data, expect_rv, rtol=1e-6)
@@ -235,8 +234,24 @@ class TestBatchnorm2d:
         x = Tensor(np.array([0.0, 2.0], dtype=np.float32).reshape(2, 1, 1, 1))
         rv = Tensor(np.zeros((1,)))
         batchnorm2d(x, Tensor(np.ones((1,))), Tensor(np.zeros((1,))), Tensor(np.zeros((1,))), rv)
-        # momentum 0.1 times the population variance of {0, 2}, which is 1
-        npt.assert_allclose(rv.data, [0.1], rtol=1e-6)
+        # the population variance of {0, 2}, which is 1
+        npt.assert_allclose(rv.data, [1.0], rtol=1e-6)
+
+    def test_running_buffers_hold_the_last_batch_exactly(self):
+        # small integers make every mean and variance exact in float32; the
+        # buffers start away from both batches, and the first batch leaves
+        # no trace once the second has run
+        rm = Tensor(np.array([5.0, -3.0], dtype=np.float32))
+        rv = Tensor(np.array([7.0, 0.25], dtype=np.float32))
+        g, b = Tensor(np.ones((2,))), Tensor(np.zeros((2,)))
+        first = np.arange(16, dtype=np.float32).reshape(2, 2, 2, 2)
+        batchnorm2d(Tensor(first), g, b, rm, rv)
+        second = np.array([0.0, 2.0, 4.0, 6.0, -1.0, -1.0, 3.0, 3.0],
+                          dtype=np.float32).reshape(2, 2, 2, 1)
+        batchnorm2d(Tensor(second), g, b, rm, rv)
+        # channel 0 holds {0, 2, -1, -1}, channel 1 {4, 6, 3, 3}
+        assert rm.data.tolist() == [0.0, 4.0]
+        assert rv.data.tolist() == [1.5, 1.5]
 
     def test_eval_uses_running_stats(self):
         # the eval reference the folded eval forwards are held to

@@ -3,6 +3,7 @@ training runs exercising reproducibility, trunk freezing, and the rule that
 validation data steers only model *selection*, never the gradients."""
 
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -14,13 +15,17 @@ from histopatch.data import (
     Manifest,
     ManifestRecord,
     NormStats,
+    compute_norm_stats,
+    generate_dataset_dir,
     load_images,
     load_manifest,
     read_ppm,
+    save_manifest,
     write_ppm,
 )
 from histopatch.geometry import PatchGrid, patch_coords
-from histopatch.model import patchwise_logits
+from histopatch.model import image_feature_stack, network_forward, patchwise_logits
+from histopatch.rng import derive
 from histopatch.tensor import Tensor
 from histopatch.trainer import (
     TrainConfig,
@@ -381,6 +386,102 @@ class TestValidationInfluence:
         for ea, eb in zip(a, b):
             for name in ea:
                 assert np.array_equal(ea[name], eb[name]), name
+
+
+def _measured_statistics(spec, params, gather, n, batch_size, stream, epoch):
+    """Float64 mean of the batchnorm statistics that train-mode forwards of
+    the first min(16, batches) batches of ``epoch`` write under ``params``."""
+    perm = derive(0, stream, epoch).permutation(n)
+    batches = [b for b in np.split(perm, range(batch_size, n, batch_size)) if len(b) >= 2]
+    params = {name: t.copy() for name, t in params.items()}
+    seen = {name: [] for name, t in params.items() if not t.requires_grad}
+    assert seen
+    for idxs in batches[:16]:
+        network_forward(spec, params, Tensor(gather(idxs)), "train", features=True)
+        for name, values in seen.items():
+            values.append(params[name].data.astype(np.float64))
+    return {name: np.mean(values, axis=0) for name, values in seen.items()}
+
+
+def _assert_float32_rounding(params, expected):
+    for name, ref in expected.items():
+        got = params[name].data
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref)), name
+
+
+class TestMeasuredStatistics:
+    """The statistics a run returns are measured under the weights it returns:
+    the mean over the best epoch's first 16 batches, each normalized by a
+    train-mode forward."""
+
+    def test_patchwise_statistics_and_one_validation_per_epoch(self, tiny_manifest,
+                                                                monkeypatch):
+        # batch 8 gives 18 batches of the 144 train patches, so 16 are measured
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate_patches(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "evaluate_patches", counted)
+        result = train_patchwise(tiny_manifest, _pw_config(max_epochs=3, batch_size=8))
+        assert len(calls) == len(result.metrics.epochs) == 3
+        index = _PatchIndex(load_images(tiny_manifest, "train", normalized=True), 64, 32)
+        assert len(index) == 144
+        expected = _measured_statistics(result.spec, result.params, index.gather, len(index),
+                                        8, "shuffle.patch", result.metrics.best_epoch)
+        _assert_float32_rounding(result.params, expected)
+
+    def test_imagewise_statistics(self, tiny_manifest, stage1, stage2):
+        # 24 train images at batch 8: all 3 batches are measured
+        stacks = [image_feature_stack(stage1.spec, stage1.params, img.pixels, 64).data
+                  for img in load_images(tiny_manifest, "train", normalized=True)]
+        expected = _measured_statistics(
+            stage2.spec, stage2.params, lambda idxs: np.stack([stacks[i] for i in idxs]),
+            len(stacks), 8, "shuffle.image", stage2.metrics.best_epoch)
+        _assert_float32_rounding(stage2.params, expected)
+
+
+class TestLiveParameters:
+    """Mid-epoch parameters carry the statistics of their last batch."""
+
+    def test_desk_geometry_scores_mid_epoch(self, tmp_path, monkeypatch):
+        # the stage-one geometry of the benchmark's desk-train-patch workload,
+        # scored as it scores it: on the live parameters after a step.  With
+        # a moving average of the batch statistics (momentum 0.1), seed 1011
+        # read 0.443 after 40 steps and 0.464 after 44
+        generate_dataset_dir(tmp_path, n_per_class=16, image_w=256, image_h=192, seed=1011)
+        manifest = load_manifest(tmp_path / "manifest.json")
+        save_manifest(tmp_path / "manifest.json",
+                      replace(manifest, stats=compute_norm_stats(manifest)))
+        manifest = load_manifest(tmp_path / "manifest.json")
+        val = load_images(manifest, "val", normalized=True)
+        config = TrainConfig(stage="patchwise", seed=1011, batch_size=32, window=64,
+                             stride=32, base_width=8, feature_depth=8)
+        spec = model.canonical_patchwise_spec(8, 8)
+        scores = {}
+
+        class Stop(Exception):
+            pass
+
+        steps = []
+
+        def counted(params, *args, **kwargs):
+            out = sgd_step(params, *args, **kwargs)
+            steps.append(len(steps) + 1)
+            if steps[-1] in (40, 44):
+                m = evaluate_patches(spec, params, val, 64, 32)
+                scores[steps[-1]] = float(np.trace(m)) / m.sum()
+            if steps[-1] == 44:
+                raise Stop
+            return out
+
+        monkeypatch.setattr(trainer, "sgd_step", counted)
+        with pytest.raises(Stop):
+            train_patchwise(manifest, config)
+        assert set(scores) == {40, 44}
+        assert min(scores.values()) >= 0.9, scores
 
 
 class TestTrainImagewise:
