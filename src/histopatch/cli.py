@@ -4,7 +4,7 @@ All commands print a single JSON payload to stdout (logs go to stderr) and
 embed the fully-resolved configuration for provenance; the stage-two commands
 echo the tiling and network sizes of the checkpoints they load.  Exit codes:
 0 on success, 2 for configuration problems, 3 for I/O problems, 4 for
-checkpoint format problems.
+checkpoint format problems, 5 when memory runs out.
 
 Settings resolve in three layers: built-in defaults, then a JSON config file
 (--config), then explicit flags.  Thread pinning happens before numpy is
@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 FORMAT_VERSION = 1
@@ -224,8 +225,8 @@ def cmd_stats(cfg: dict, explicit: set[str], parser, command) -> dict:
 def _train(cfg: dict, stage: str, run) -> dict:
     """Train ``stage`` with ``run(train_config)`` under ``cfg``'s settings,
     write ``<stage>.ckpt`` and ``<stage>_metrics.json`` into --out, and return
-    the command's summary.  The config is checked before ``run`` reads
-    anything."""
+    the command's summary.  The config is checked, and --out made and probed
+    with a temporary file, before ``run`` reads anything."""
     from .checkpoint import save_checkpoint
     from .trainer import TrainConfig
 
@@ -239,9 +240,10 @@ def _train(cfg: dict, stage: str, run) -> dict:
         head_depth=cfg["head_depth"],
     )
     tc.validate()
-    result = run(tc)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    tempfile.NamedTemporaryFile(dir=out_dir).close()  # --out takes a file
+    result = run(tc)
     ckpt, metrics = out_dir / f"{stage}.ckpt", out_dir / f"{stage}_metrics.json"
     save_checkpoint(ckpt, result.spec, result.params, result.meta)
     doc = {**result.metrics.to_dict(), "config": cfg, "format_version": FORMAT_VERSION}
@@ -386,15 +388,9 @@ def _exit_code_for(e: Exception) -> int | None:
     from .data import PpmError
     from .geometry import GeometryError
 
-    if isinstance(e, CheckpointError):
-        return 4
-    if isinstance(e, PpmError):
-        return 3
-    if isinstance(e, OSError):
-        return 3
-    if isinstance(e, (GeometryError, ValueError)):
-        return 2
-    return None
+    codes = ((MemoryError, 5), (CheckpointError, 4), ((PpmError, OSError), 3),
+             ((GeometryError, ValueError), 2))
+    return next((code for kinds, code in codes if isinstance(e, kinds)), None)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -409,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         code = _exit_code_for(e)
         if code is None:
             raise
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return code
 
     print(json.dumps(payload, indent=2))

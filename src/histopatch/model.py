@@ -265,8 +265,9 @@ def _fold_batchnorm(w: Tensor, b: Tensor, params: dict[str, Tensor],
 
 def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mode: str,
                     tape: Tape | None = None, dropout_rng: DropoutRngFactory | None = None,
-                    features: bool = False, with_softmax: bool = False) -> Tensor:
-    """Run the stack on ``x`` in ``mode`` "train" or "eval".
+                    features: bool = False, with_softmax: bool = False,
+                    stats: list | None = None) -> Tensor:
+    """Run the stack on ``x`` in ``mode`` "train" or "eval"; write no input.
 
     ``features`` returns the last block's output (feature extraction).  The
     softmax runs only ``with_softmax``: training reads raw logits.  Between
@@ -274,10 +275,12 @@ def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mod
 
     Only a train-mode forward without the softmax takes a tape: nothing
     trains through the rest.  A train-mode block runs ``ops.conv2d``,
-    ``ops.batchnorm2d`` and ``ops.relu``.  An eval-mode block folds its
-    batchnorm into its conv (``_fold_batchnorm``): one ``ops.conv2d`` call,
-    no batchnorm pass, and the relu applied in place on its fresh output, as
-    are the head's.  Its outputs match the unfolded ops to float32 rounding.
+    ``ops.batchnorm2d`` (appending its batch mean and variance to ``stats``,
+    so in the running buffers' order) and ``ops.relu``.  An eval-mode block
+    folds its batchnorm into its conv (``_fold_batchnorm``): one
+    ``ops.conv2d`` call, no batchnorm pass, and the relu applied in place on
+    its fresh output, as are the head's.  Its outputs match the unfolded ops
+    to float32 rounding.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -299,8 +302,7 @@ def network_forward(spec: NetworkSpec, params: dict[str, Tensor], x: Tensor, mod
         cur = ops.conv2d(cur, w, b, stride=block.stride, padding=block.padding, tape=tape)
         if mode == "train":
             cur = ops.batchnorm2d(cur, params[f"{bn}.gamma"], params[f"{bn}.beta"],
-                                  params[f"{bn}.running_mean"], params[f"{bn}.running_var"],
-                                  tape=tape)
+                                  tape=tape, stats=stats)
         cur = relu(cur)
     if features:
         return cur
@@ -339,12 +341,11 @@ def _check_patch_input(spec: NetworkSpec, patches: Tensor) -> None:
         )
 
 
-def patchwise_logits(spec: NetworkSpec, params: dict[str, Tensor], patches: Tensor,
-                     mode: str, tape: Tape | None = None) -> Tensor:
-    """Class logits (N, 4) for a batch of patches; softmax is applied only in
-    the loss/inference paths."""
+def patchwise_logits(spec: NetworkSpec, params: dict[str, Tensor], patches: Tensor) -> Tensor:
+    """Eval-mode class logits (N, 4) for a batch of patches, as validation
+    scores them; training runs ``network_forward`` itself."""
     _check_patch_input(spec, patches)
-    return network_forward(spec, params, patches, mode, tape=tape, with_softmax=False)
+    return network_forward(spec, params, patches, "eval")
 
 
 def extract_features(spec: NetworkSpec, params: dict[str, Tensor], patches: Tensor) -> Tensor:

@@ -314,23 +314,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 BATCHNORM_EPS = 1e-5
 
 
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-                running_var: Tensor, tape: Tape | None = None) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, tape: Tape | None = None,
+                stats: list | None = None) -> Tensor:
     """Per-channel batch normalization over (N, H, W), as in training.
 
-    Normalizes with batch statistics and writes them (the mean and the
-    population variance) into the running buffers in place, with no moving
-    average; trainer._fit sets the statistics that eval forwards fold into
-    the conv (model.network_forward), and they never call this.  A taped
-    call records x, gamma and beta and keeps only the per-channel mean and
-    inverse std; the backward rebuilds the normalized input from x, which
-    the conv that made it keeps anyway.
+    Normalizes with batch statistics and appends them (the mean, then the
+    population variance) to the caller's ``stats`` list; it writes no input.
+    trainer._fit sets the statistics that eval forwards fold into the conv
+    (model.network_forward) from such lists.  A taped call records x, gamma
+    and beta and keeps only the per-channel mean and inverse std; the
+    backward rebuilds the normalized input from x, which the conv that made
+    it keeps anyway.
     """
     if x.ndim != 4:
         raise ValueError(f"batchnorm2d expects (N, C, H, W), got {x.shape}")
     n, c, h, wd = x.shape
-    for name, t in (("gamma", gamma), ("beta", beta),
-                    ("running_mean", running_mean), ("running_var", running_var)):
+    for name, t in (("gamma", gamma), ("beta", beta)):
         if t.shape != (c,):
             raise ValueError(f"batchnorm2d {name} shape {t.shape} != ({c},)")
     m = n * h * wd
@@ -340,8 +339,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     centered = x.data - mean[None, :, None, None]
     var = np.mean(centered * centered, axis=(0, 2, 3))
     invstd = 1.0 / np.sqrt(var + np.float32(BATCHNORM_EPS))
-    running_mean.data[:] = mean
-    running_var.data[:] = var
+    if stats is not None:
+        stats += (mean, var)
 
     # xhat = centered * invstd, then gamma*xhat + beta, in one buffer
     y = centered

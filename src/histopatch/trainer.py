@@ -239,19 +239,20 @@ STAT_BATCHES = 16
 
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(spec: NetworkSpec, config: TrainConfig, labels: np.ndarray,
-         gather: Callable[[np.ndarray], np.ndarray], forward: Callable[..., Tensor],
+         gather: Callable[[np.ndarray], np.ndarray],
          validate: Callable[[dict[str, Tensor]], np.ndarray],
          log: Logger | None, epoch_hook: EpochHook | None
          ) -> tuple[dict[str, Tensor], Metrics]:
     """Momentum SGD with early stopping on validation accuracy.
 
-    ``gather(idxs)`` assembles a training batch, ``forward(params, batch,
-    tape, dropout_rng)`` gives its logits and ``validate(params)`` a
-    validation confusion matrix.  SGD trains the tensors that require a
-    gradient.  The rest, the batchnorm running statistics, are measured:
-    before each validation they are set to the mean of what untaped
-    train-mode forwards of the epoch's first ``STAT_BATCHES`` batches write
-    into them (precise BN, Wu & Johnson 2021, arXiv 2105.07576).  A step
+    ``gather(idxs)`` assembles a training batch for a taped train-mode
+    ``network_forward`` (the same call in both stages) and
+    ``validate(params)`` gives a validation confusion matrix.  SGD trains
+    the tensors that require a gradient.  The rest, the batchnorm running
+    statistics, are measured: a step sets them to its batch's before
+    ``sgd_step``, and each validation reads the mean of what untaped
+    train-mode forwards of the epoch's first ``STAT_BATCHES`` batches
+    measure (precise BN, Wu & Johnson 2021, arXiv 2105.07576).  A step
     whose loss, gradients, weights or batchnorm statistics hold a
     non-finite value stops the run with a ValueError (numpy's overflow
     warnings are muted, as this check reports them).  Returns the best
@@ -270,14 +271,17 @@ def _fit(spec: NetworkSpec, config: TrainConfig, labels: np.ndarray,
                                                    config.batch_size)) if len(b) >= 2]
         loss_sum, n_sum = 0.0, 0
         for batch_i, idxs in enumerate(batches):
-            tape = Tape()
+            tape, stats = Tape(), []
             counter = epoch * 1_000_000 + batch_i
-            logits = forward(params, Tensor(gather(idxs)), tape,
-                             lambda layer: derive(config.seed, f"dropout.l{layer}", counter))
+            logits = network_forward(
+                spec, params, Tensor(gather(idxs)), "train", tape=tape, stats=stats,
+                dropout_rng=lambda layer: derive(config.seed, f"dropout.l{layer}", counter))
             loss = ops.cross_entropy(logits, labels[idxs], tape=tape)
             for n in trainables:
                 params[n].grad = None
             tape.backward(loss)
+            for t, value in zip(measured, stats, strict=True):
+                t.data[:] = value
             grads = {n: params[n].grad for n in trainables}
             sgd_step(params, grads, velocity, config.lr, config.momentum)
             bad = [f"{n} gradient" for n, g in grads.items() if not np.isfinite(g).all()]
@@ -289,10 +293,10 @@ def _fit(spec: NetworkSpec, config: TrainConfig, labels: np.ndarray,
             loss_sum += loss.item() * len(idxs)
             n_sum += len(idxs)
 
-        seen = []
-        for idxs in batches[:STAT_BATCHES]:
-            network_forward(spec, params, Tensor(gather(idxs)), "train", features=True)
-            seen.append([t.data.copy() for t in measured])
+        seen = [[] for _ in batches[:STAT_BATCHES]]
+        for idxs, stats in zip(batches, seen):
+            network_forward(spec, params, Tensor(gather(idxs)), "train", features=True,
+                            stats=stats)
         for t, values in zip(measured, zip(*seen)):
             t.data[:] = np.mean(values, axis=0)
 
@@ -380,7 +384,7 @@ def evaluate_patches(spec: NetworkSpec, params: dict[str, Tensor],
     """Patch-level confusion matrix (rows true, cols predicted), eval mode."""
     index = _PatchIndex(images, window, stride)
     return _eval_confusion(index.labels, index.gather,
-                           lambda batch: patchwise_logits(spec, params, batch, "eval"),
+                           lambda batch: patchwise_logits(spec, params, batch),
                            eval_batch_size(spec, (3, window, window)))
 
 
@@ -415,8 +419,6 @@ def train_patchwise(manifest: Manifest, config: TrainConfig,
     spec = canonical_patchwise_spec(config.base_width, config.feature_depth)
     params, metrics = _fit(
         spec, config, index.labels, index.gather,
-        lambda params, batch, tape, _rng: patchwise_logits(spec, params, batch,
-                                                           "train", tape=tape),
         lambda params: evaluate_patches(spec, params, val_imgs, config.window,
                                         config.stride),
         log, epoch_hook)
@@ -462,8 +464,6 @@ def train_imagewise(manifest: Manifest, pw_spec: NetworkSpec,
         iw_spec, config,
         np.asarray([img.label for img in train_imgs], dtype=np.int64),
         lambda idxs: np.stack([train_stacks[i].data for i in idxs]),
-        lambda params, batch, tape, rng: network_forward(
-            iw_spec, params, batch, "train", tape=tape, dropout_rng=rng),
         lambda params: _eval_confusion(
             val_labels, lambda idxs: np.stack([val_stacks[i].data for i in idxs]),
             lambda batch: network_forward(iw_spec, params, batch, "eval", with_softmax=True),

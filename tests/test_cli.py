@@ -1,5 +1,6 @@
 """Command-line surface: JSON on stdout, logs on stderr, config precedence,
-and the exit-code contract (2 config, 3 I/O, 4 checkpoint format)."""
+and the exit-code contract (2 config, 3 I/O, 4 checkpoint format, 5 out of
+memory)."""
 
 import json
 
@@ -386,6 +387,46 @@ class TestTrainCommands:
             with pytest.raises(GeometryError, match=f"window {window} is too small"):
                 check_window(window)
         check_window(32)
+
+    @pytest.mark.parametrize("command", ["train-patch", "train-image"])
+    def test_unusable_out_exits_3_before_training(self, run_cli, tiny_cli_artifacts, tmp_path,
+                                                  command):
+        # --out below a regular file cannot be made; that is found before
+        # the first epoch (train-patch) or the feature caching (train-image)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        if command == "train-patch":
+            extra = ["--window", "64", "--stride", "32", "--base-width", "2",
+                     "--feature-depth", "2", "--batch-size", "16"]
+        else:
+            extra = ["--patch-checkpoint", tiny_cli_artifacts["patch_ckpt"], "--batch-size", "8"]
+        proc = run_cli(command, "--manifest", tiny_cli_artifacts["manifest"],
+                       "--out", blocker / "sub", "--epochs", "2", *extra, expect=3)
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not any(line.startswith(("epoch 0", "stage 2: caching")) for line in lines)
+        assert blocker.read_text() == "x"
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.66 GiB for an array with shape (32, 16, 512, 512)",
+         "error: Unable to allocate 7.66 GiB for an array with shape (32, 16, 512, 512)"),
+        ("", "error: MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_5_with_one_line(self, tiny_cli_artifacts, tmp_path,
+                                                 monkeypatch, capsys, message, line):
+        from histopatch import cli, trainer
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(trainer, "train_patchwise", exhausted)
+        code = cli.main(["train-patch", "--manifest", str(tiny_cli_artifacts["manifest"]),
+                         "--out", str(tmp_path / "run"), "--window", "64", "--stride", "32"])
+        out, err = capsys.readouterr()
+        assert code == 5
+        assert out == ""
+        assert err.splitlines() == [line]
 
     def test_train_patch_without_stats_exits_2(self, run_cli, tmp_path):
         out = tmp_path / "ds"

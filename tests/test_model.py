@@ -199,7 +199,7 @@ class TestForwardShapes:
     def test_logits_shape(self, small_pw):
         spec, params = small_pw
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 16, 16)).astype(np.float32))
-        out = patchwise_logits(spec, params, x, mode="eval")
+        out = patchwise_logits(spec, params, x)
         assert out.shape == (2, 4)
 
     def test_probabilities_with_softmax(self, small_pw):
@@ -233,14 +233,14 @@ class TestForwardShapes:
         spec, params = small_pw
         x = Tensor(np.zeros((1, 3, 60, 60), dtype=np.float32))
         with pytest.raises(ValueError):
-            patchwise_logits(spec, params, x, mode="eval")
+            patchwise_logits(spec, params, x)
 
     def test_imagewise_spec_rejected_by_patch_paths(self, small_pw):
         iw = canonical_imagewise_spec(n_patches=4, feature_depth=3, head_depth=8)
         iw_params = init_params(iw, seed=0)
         x = Tensor(np.zeros((1, 12, 16, 16), dtype=np.float32))
         with pytest.raises(ValueError):
-            patchwise_logits(iw, iw_params, x, mode="eval")
+            patchwise_logits(iw, iw_params, x)
 
     def test_dropout_needs_rng_in_train(self):
         iw = canonical_imagewise_spec(n_patches=2, feature_depth=2, head_depth=8)
@@ -285,7 +285,7 @@ class TestTrainStepMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            logits = patchwise_logits(spec, params, x, "train", tape=tape)
+            logits = network_forward(spec, params, x, "train", tape=tape)
             forward_kept = tracemalloc.get_traced_memory()[0] - before
             loss = ops.cross_entropy(logits, np.arange(self.N) % 4, tape=tape)
             step_kept = tracemalloc.get_traced_memory()[0] - before
@@ -425,11 +425,16 @@ class TestEvalFold:
 
     @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: c[0])
     def test_eval_of_the_batch_the_statistics_came_from_matches_train(self, case):
-        # a train-mode forward leaves its batch's statistics in the running
-        # buffers, so an eval forward of that batch normalizes it the same way
+        # a train-mode forward hands over its batch's statistics; copied into
+        # the running buffers, they make an eval forward of that batch
+        # normalize it the same way
         kind, spec, params, x = case
         params = {name: t.copy() for name, t in params.items()}
-        train = network_forward(spec, params, x, "train", features=True).data
+        stats = []
+        train = network_forward(spec, params, x, "train", features=True, stats=stats).data
+        buffers = [t for t in params.values() if not t.requires_grad]
+        for t, value in zip(buffers, stats, strict=True):
+            t.data[:] = value
         self._assert_close(network_forward(spec, params, x, "eval", features=True).data, train)
         if kind == "patchwise":
             train = network_forward(spec, params, x, "train").data
@@ -456,6 +461,28 @@ class TestEvalFold:
                     where = (name, with_softmax, k)
                     assert run(x.data[k:k + 1])[0].tobytes() == batched[k].tobytes(), where
                     assert flipped[k].tobytes() == batched[k].tobytes(), where
+
+
+class TestTrainForward:
+    """A taped train-mode step reads the parameters and the batch and writes
+    neither: the batchnorm statistics go to the caller's sink."""
+
+    @pytest.mark.parametrize("case", FOLD_CASES, ids=lambda c: c[0])
+    def test_no_op_writes_an_input(self, case):
+        _, spec, params, x = case
+        params = {name: t.copy() for name, t in params.items()}
+        before = {name: t.data.tobytes() for name, t in params.items()}
+        x_before = x.data.tobytes()
+        tape, stats = Tape(), []
+        logits = network_forward(spec, params, x, "train", tape=tape, stats=stats,
+                                 dropout_rng=lambda i: np.random.default_rng(i))
+        tape.backward(ops.cross_entropy(logits, np.arange(x.shape[0]) % 4, tape=tape))
+        assert {name: t.data.tobytes() for name, t in params.items()} == before
+        assert x.data.tobytes() == x_before
+        # one (mean, variance) pair per block, shaped like the buffers it fills
+        buffers = [t for t in params.values() if not t.requires_grad]
+        assert [s.shape for s in stats] == [t.shape for t in buffers]
+        assert params["00.weight"].grad is not None  # the backward ran
 
 
 class TestEvalBatchSize:

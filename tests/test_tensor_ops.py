@@ -188,22 +188,19 @@ class TestConv2d:
 
 
 class TestBatchnorm2d:
-    def _stats(self, c):
-        return (Tensor(np.ones((c,))), Tensor(np.zeros((c,))),
-                Tensor(np.zeros((c,))), Tensor(np.ones((c,))))
+    def _affine(self, c):
+        return Tensor(np.ones((c,))), Tensor(np.zeros((c,)))
 
     def test_constant_input_train_zeros(self):
-        g, b, rm, rv = self._stats(2)
-        out = batchnorm2d(Tensor(np.full((2, 2, 3, 3), 7.0, dtype=np.float32)),
-                          g, b, rm, rv)
+        g, b = self._affine(2)
+        out = batchnorm2d(Tensor(np.full((2, 2, 3, 3), 7.0, dtype=np.float32)), g, b)
         npt.assert_allclose(out.data, 0.0, atol=1e-4)
 
     def test_constant_input_affine(self):
         c = 2
         g = Tensor(np.full(c, 2.0, dtype=np.float32))
         b = Tensor(np.full(c, 5.0, dtype=np.float32))
-        out = batchnorm2d(Tensor(np.full((2, c, 3, 3), -3.0, dtype=np.float32)),
-                          g, b, Tensor(np.zeros((c,))), Tensor(np.ones((c,))))
+        out = batchnorm2d(Tensor(np.full((2, c, 3, 3), -3.0, dtype=np.float32)), g, b)
         npt.assert_allclose(out.data, 5.0, atol=1e-3)
 
     def test_train_output_moments(self):
@@ -211,7 +208,7 @@ class TestBatchnorm2d:
         x = Tensor(rng.normal(1.5, 2.0, size=(2, 3, 4, 4)).astype(np.float32))
         g = Tensor(np.array([1.0, 2.0, 0.5], dtype=np.float32))
         b = Tensor(np.array([0.0, -1.0, 3.0], dtype=np.float32))
-        out = batchnorm2d(x, g, b, Tensor(np.zeros((3,))), Tensor(np.ones((3,))))
+        out = batchnorm2d(x, g, b)
         for ch in range(3):
             vals = out.data[:, ch]
             npt.assert_allclose(vals.mean(), b.data[ch], atol=1e-3)
@@ -220,38 +217,61 @@ class TestBatchnorm2d:
     def test_running_stats_update_formula(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(2, 2, 3, 3)).astype(np.float32))
-        rm = Tensor(np.array([1.0, -1.0], dtype=np.float32))
-        rv = Tensor(np.array([2.0, 0.5], dtype=np.float32))
-        # no moving average: the buffers hold the batch's statistics
+        # no moving average: the sink holds the batch's statistics
         expect_rm = x.data.mean(axis=(0, 2, 3))
         expect_rv = x.data.var(axis=(0, 2, 3))
-        batchnorm2d(x, Tensor(np.ones((2,))), Tensor(np.zeros((2,))), rm, rv)
-        npt.assert_allclose(rm.data, expect_rm, rtol=1e-6)
-        npt.assert_allclose(rv.data, expect_rv, rtol=1e-6)
+        stats = []
+        batchnorm2d(x, *self._affine(2), stats=stats)
+        rm, rv = stats
+        npt.assert_allclose(rm, expect_rm, rtol=1e-6)
+        npt.assert_allclose(rv, expect_rv, rtol=1e-6)
 
     def test_population_variance_not_sample(self):
         # N*H*W = 2 makes the two conventions differ by a factor of 2.
         x = Tensor(np.array([0.0, 2.0], dtype=np.float32).reshape(2, 1, 1, 1))
-        rv = Tensor(np.zeros((1,)))
-        batchnorm2d(x, Tensor(np.ones((1,))), Tensor(np.zeros((1,))), Tensor(np.zeros((1,))), rv)
+        stats = []
+        batchnorm2d(x, *self._affine(1), stats=stats)
         # the population variance of {0, 2}, which is 1
-        npt.assert_allclose(rv.data, [1.0], rtol=1e-6)
+        npt.assert_allclose(stats[1], [1.0], rtol=1e-6)
 
     def test_running_buffers_hold_the_last_batch_exactly(self):
-        # small integers make every mean and variance exact in float32; the
-        # buffers start away from both batches, and the first batch leaves
-        # no trace once the second has run
-        rm = Tensor(np.array([5.0, -3.0], dtype=np.float32))
-        rv = Tensor(np.array([7.0, 0.25], dtype=np.float32))
-        g, b = Tensor(np.ones((2,))), Tensor(np.zeros((2,)))
+        # small integers make every mean and variance exact in float32; each
+        # call appends its own batch's pair, and the first batch leaves no
+        # trace in the second's
+        g, b = self._affine(2)
+        stats = []
         first = np.arange(16, dtype=np.float32).reshape(2, 2, 2, 2)
-        batchnorm2d(Tensor(first), g, b, rm, rv)
+        batchnorm2d(Tensor(first), g, b, stats=stats)
         second = np.array([0.0, 2.0, 4.0, 6.0, -1.0, -1.0, 3.0, 3.0],
                           dtype=np.float32).reshape(2, 2, 2, 1)
-        batchnorm2d(Tensor(second), g, b, rm, rv)
+        batchnorm2d(Tensor(second), g, b, stats=stats)
+        assert len(stats) == 4
         # channel 0 holds {0, 2, -1, -1}, channel 1 {4, 6, 3, 3}
-        assert rm.data.tolist() == [0.0, 4.0]
-        assert rv.data.tolist() == [1.5, 1.5]
+        assert stats[2].tolist() == [0.0, 4.0]
+        assert stats[3].tolist() == [1.5, 1.5]
+
+    def test_sink_receives_exactly_the_batch_mean_and_population_variance(self):
+        # a sink that already holds an entry is appended to, mean then
+        # variance, float32 values bit-equal to the float32 batch moments;
+        # no input is written, taped or not
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(0.5, 3.0, size=(3, 4, 5, 2)).astype(np.float32))
+        g = Tensor(rng.uniform(0.5, 1.5, 4).astype(np.float32))
+        b = Tensor(rng.normal(size=4).astype(np.float32))
+        before = [t.data.tobytes() for t in (x, g, b)]
+        for tape in (None, Tape()):
+            stats = ["earlier"]
+            batchnorm2d(x, g, b, tape=tape, stats=stats)
+            assert len(stats) == 3 and stats[0] == "earlier"
+            mean = x.data.mean(axis=(0, 2, 3))
+            centered = x.data - mean[None, :, None, None]
+            var = np.mean(centered * centered, axis=(0, 2, 3))
+            assert all(s.dtype == np.float32 and s.shape == (4,) for s in stats[1:])
+            assert stats[1].tobytes() == mean.tobytes()
+            assert stats[2].tobytes() == var.tobytes()
+            npt.assert_allclose(stats[2], x.data.astype(np.float64).var(axis=(0, 2, 3)),
+                                rtol=1e-5)
+            assert [t.data.tobytes() for t in (x, g, b)] == before
 
     def test_eval_uses_running_stats(self):
         # the eval reference the folded eval forwards are held to
@@ -263,9 +283,8 @@ class TestBatchnorm2d:
 
     def test_degenerate_train_batch_rejected(self):
         x = Tensor(np.ones((1, 2, 1, 1)))
-        g, b, rm, rv = self._stats(2)
         with pytest.raises(ValueError):
-            batchnorm2d(x, g, b, rm, rv)
+            batchnorm2d(x, *self._affine(2))
 
 
 class TestRelu:

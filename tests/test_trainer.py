@@ -283,8 +283,8 @@ class TestTrainPatchwise:
         widest = 4 * 64 * 64 * 4
         sizes, logits = [], []
 
-        def recorded(spec, params, batch, mode):
-            out = patchwise_logits(spec, params, batch, mode)
+        def recorded(spec, params, batch):
+            out = patchwise_logits(spec, params, batch)
             sizes.append(batch.shape[0])
             logits.append(out.data)
             return out
@@ -390,16 +390,18 @@ class TestValidationInfluence:
 
 def _measured_statistics(spec, params, gather, n, batch_size, stream, epoch):
     """Float64 mean of the batchnorm statistics that train-mode forwards of
-    the first min(16, batches) batches of ``epoch`` write under ``params``."""
+    the first min(16, batches) batches of ``epoch`` hand to their sink under
+    ``params``."""
     perm = derive(0, stream, epoch).permutation(n)
     batches = [b for b in np.split(perm, range(batch_size, n, batch_size)) if len(b) >= 2]
-    params = {name: t.copy() for name, t in params.items()}
     seen = {name: [] for name, t in params.items() if not t.requires_grad}
     assert seen
     for idxs in batches[:16]:
-        network_forward(spec, params, Tensor(gather(idxs)), "train", features=True)
-        for name, values in seen.items():
-            values.append(params[name].data.astype(np.float64))
+        stats = []
+        network_forward(spec, params, Tensor(gather(idxs)), "train", features=True,
+                        stats=stats)
+        for values, value in zip(seen.values(), stats, strict=True):
+            values.append(value.astype(np.float64))
     return {name: np.mean(values, axis=0) for name, values in seen.items()}
 
 
