@@ -270,19 +270,19 @@ def _stage_two(cfg: dict, explicit: set[str], with_image_net: bool):
     """Load the patch checkpoint (and, ``with_image_net``, the image one) and
     the patch checkpoint's norm stats; return ``(cfg, stats, nets)``.
 
-    The returned ``cfg`` is the one that runs: the patch checkpoint's window
-    unless one was given, tiled without overlap (so the stride is the window
-    too), its ``base_width``/``feature_depth``, and ``with_image_net`` the
-    image checkpoint's ``head_depth``/``dropout``.  An explicit size that a
-    checkpoint contradicts, or an explicit stride other than the window, is a
-    ``ValueError``; a stored window that is not a JSON integer or unusable
-    stats are a ``CheckpointError``.  ``nets`` is
-    ``(pw_spec, pw_params)``, then ``(iw_spec, iw_params)`` if loaded."""
+    The returned ``cfg`` is the one that runs: the window of the last
+    checkpoint loaded (an explicit one overrides the patch one's) tiled
+    without overlap, the patch checkpoint's ``base_width``/``feature_depth``
+    and the image one's ``head_depth``/``dropout``.  An explicit size that a
+    checkpoint contradicts, an explicit stride other than the window, or
+    feature depths that differ are a ``ValueError``; a stored window that is
+    not a JSON integer or unusable stats are a ``CheckpointError``.  ``nets``
+    is ``(pw_spec, pw_params)``, then ``(iw_spec, iw_params)`` if loaded."""
     from .checkpoint import CheckpointError, load_checkpoint
     from .data import ManifestError, NormStats
     from .model import check_window
 
-    path = cfg["patch_checkpoint"]
+    path, kind = cfg["patch_checkpoint"], "patch-wise"
     pw_spec, pw_params, meta = load_checkpoint(path, expect_kind="patchwise")
     nets = (pw_spec, pw_params)
     try:
@@ -290,17 +290,24 @@ def _stage_two(cfg: dict, explicit: set[str], with_image_net: bool):
     except ManifestError as e:
         raise CheckpointError(f"patch-wise checkpoint {path} holds no "
                               f"usable norm_mean/norm_std: {e}") from None
-    window = cfg["window"] if "window" in explicit else meta.get("window", cfg["window"])
-    if type(window) is not int:
-        raise CheckpointError(f"patch-wise checkpoint {path} holds "
-                              f"window {window!r}, not an integer")
     stored = {"base_width": (pw_spec.base_width, path),
               "feature_depth": (pw_spec.feature_depth, path)}
     if with_image_net:
-        iw_spec, iw_params, _ = load_checkpoint(cfg["image_checkpoint"], expect_kind="imagewise")
+        path, kind = cfg["image_checkpoint"], "image-wise"
+        iw_spec, iw_params, meta = load_checkpoint(path, expect_kind="imagewise")
+        if iw_spec.feature_depth != pw_spec.feature_depth:
+            raise ValueError(f"image-wise checkpoint {path} was built for feature_depth "
+                             f"{iw_spec.feature_depth}, but patch-wise checkpoint "
+                             f"{cfg['patch_checkpoint']} holds {pw_spec.feature_depth}")
         nets += (iw_spec, iw_params)
-        stored.update(head_depth=(iw_spec.head_depth, cfg["image_checkpoint"]),
-                      dropout=(iw_spec.dropout_rate, cfg["image_checkpoint"]))
+        stored.update(head_depth=(iw_spec.head_depth, path), dropout=(iw_spec.dropout_rate, path))
+    window = meta.get("window", cfg["window"])  # the image checkpoint's, once loaded
+    if type(window) is not int:
+        raise CheckpointError(f"{kind} checkpoint {path} holds window {window!r}, not an integer")
+    if "window" in explicit:
+        check_window(cfg["window"])  # its message comes before a contradiction's
+        window = window if with_image_net else cfg["window"]
+    stored["window"] = (window, path)
     for key, (value, source) in stored.items():
         if key in explicit and cfg[key] != value:
             raise ValueError(f"{key} {json.dumps(cfg[key])} contradicts checkpoint "
@@ -310,7 +317,7 @@ def _stage_two(cfg: dict, explicit: set[str], with_image_net: bool):
         raise ValueError(f"stride {cfg['stride']} differs from window {window}: "
                          "stage two tiles without overlap")
     ran = {key: value for key, (value, _) in stored.items()}
-    return {**cfg, "window": window, "stride": window, **ran}, stats, nets
+    return {**cfg, "stride": window, **ran}, stats, nets
 
 
 def cmd_train_image(cfg: dict, explicit: set[str], parser, command) -> dict:
@@ -332,11 +339,11 @@ def cmd_train_image(cfg: dict, explicit: set[str], parser, command) -> dict:
 
 def cmd_infer(cfg: dict, explicit: set[str], parser, command) -> dict:
     _require(cfg, ["patch_checkpoint", "image_checkpoint", "image"], parser, command)
-    from .data import normalize_pixels, read_ppm
+    from .data import read_ppm
     from .model import CLASS_NAMES, infer_image
 
     cfg, stats, nets = _stage_two(cfg, explicit, with_image_net=True)
-    pixels = normalize_pixels(read_ppm(cfg["image"]), stats)
+    pixels = read_ppm(cfg["image"], stats)
     cls, probs = infer_image(*nets, pixels, cfg["window"])
     return _payload(command, cfg, {
         "image": str(cfg["image"]),

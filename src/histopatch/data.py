@@ -41,7 +41,6 @@ __all__ = [
     "save_manifest",
     "load_images",
     "compute_norm_stats",
-    "normalize_pixels",
     "BlobParams",
     "CLASS_TEXTURES",
     "synth_image",
@@ -120,8 +119,9 @@ class Manifest:
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
-def decode_ppm(data: bytes) -> Tensor:
-    """Binary PPM (P6, maxval 255) to a channel-major float tensor, v/255.
+def decode_ppm(data: bytes, stats: NormStats | None = None) -> Tensor:
+    """Binary PPM (P6, maxval 255) to network input: a channel-major float
+    tensor of v/255, normalized per channel by ``stats`` when given.
 
     Header comments (#) and arbitrary whitespace between tokens are accepted.
     """
@@ -166,15 +166,22 @@ def decode_ppm(data: bytes) -> Tensor:
         raise PpmError("missing whitespace after maxval")
     pos += 1
 
-    need = 3 * width * height
-    payload = data[pos:]
-    if len(payload) < need:
-        raise PpmError(f"truncated pixel data: got {len(payload)} bytes, need {need}")
-    if len(payload) > need:
-        raise PpmError(f"{len(payload) - need} trailing bytes after pixel data")
+    need, got = 3 * width * height, len(data) - pos
+    if got < need:
+        raise PpmError(f"truncated pixel data: got {got} bytes, need {need}")
+    if got > need:
+        raise PpmError(f"{got - need} trailing bytes after pixel data")
+    pixels = np.frombuffer(data, np.uint8, count=need, offset=pos).reshape(height, width, 3)
+    return _network_input(pixels, stats)
 
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    chw = np.ascontiguousarray(pixels.transpose(2, 0, 1)).astype(np.float32) / 255.0
+
+def _network_input(hwc: np.ndarray, stats: NormStats | None = None) -> Tensor:
+    """uint8 (H, W, 3) pixels to network input, in one float32 (3, H, W) buffer."""
+    chw = hwc.transpose(2, 0, 1).astype(np.float32, order="C")
+    chw /= 255.0
+    if stats is not None:
+        chw -= np.asarray(stats.mean, dtype=np.float32).reshape(3, 1, 1)
+        chw /= np.asarray(stats.std, dtype=np.float32).reshape(3, 1, 1)
     return Tensor(chw)
 
 
@@ -189,8 +196,9 @@ def encode_ppm(image: Tensor) -> bytes:
     return header + u8.transpose(1, 2, 0).tobytes()
 
 
-def read_ppm(path: str | Path) -> Tensor:
-    return decode_ppm(Path(path).read_bytes())
+def read_ppm(path: str | Path, stats: NormStats | None = None) -> Tensor:
+    """The one reader of an image file as network input (see ``decode_ppm``)."""
+    return decode_ppm(Path(path).read_bytes(), stats)
 
 
 def write_ppm(path: str | Path, image: Tensor) -> None:
@@ -248,13 +256,6 @@ def save_manifest(path: str | Path, manifest: Manifest) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-def normalize_pixels(pixels: Tensor, stats: NormStats) -> Tensor:
-    """(x - mean) / std per channel; std is floored at 1e-6 upstream."""
-    mean = np.asarray(stats.mean, dtype=np.float32).reshape(3, 1, 1)
-    std = np.asarray(stats.std, dtype=np.float32).reshape(3, 1, 1)
-    return Tensor((pixels.data - mean) / std)
-
-
 def load_images(manifest: Manifest, split: str | None = None,
                 normalized: bool = False) -> list[LabeledImage]:
     """Decode every record (optionally one split), in manifest order."""
@@ -263,13 +264,9 @@ def load_images(manifest: Manifest, split: str | None = None,
     records = manifest.records if split is None else manifest.split_records(split)
     if normalized and manifest.stats is None:
         raise ManifestError("manifest has no normalization stats yet")
-    out = []
-    for r in records:
-        pixels = read_ppm(manifest.root / r.path)
-        if normalized:
-            pixels = normalize_pixels(pixels, manifest.stats)
-        out.append(LabeledImage(pixels=pixels, label=r.label, source_id=r.path))
-    return out
+    stats = manifest.stats if normalized else None
+    return [LabeledImage(pixels=read_ppm(manifest.root / r.path, stats), label=r.label,
+                         source_id=r.path) for r in records]
 
 
 def compute_norm_stats(manifest: Manifest) -> NormStats:
@@ -282,10 +279,13 @@ def compute_norm_stats(manifest: Manifest) -> NormStats:
     total = np.zeros(3, dtype=np.float64)
     total_sq = np.zeros(3, dtype=np.float64)
     for r in train:
-        pixels = read_ppm(manifest.root / r.path).data.astype(np.float64)
-        count += pixels.shape[1] * pixels.shape[2]
-        total += pixels.sum(axis=(1, 2))
-        total_sq += (pixels * pixels).sum(axis=(1, 2))
+        pixels = read_ppm(manifest.root / r.path).data
+        count += pixels[0].size
+        for c in range(3):  # one float64 channel at a time, squared in place
+            x = pixels[c].astype(np.float64)
+            total[c] += x.sum()
+            total_sq[c] += np.multiply(x, x, out=x).sum()
+        del pixels, x  # so that the next image is not read beside this one
     mean = total / count
     var = np.maximum(total_sq / count - mean * mean, 0.0)
     std = np.maximum(np.sqrt(var), 1e-6)
@@ -336,8 +336,8 @@ def synth_image(class_idx: int, image_w: int, image_h: int,
             f"radius ({min_dim:.1f}) for class {class_idx}"
         )
 
-    img = _BACKGROUND + rng.uniform(-_BACKGROUND_NOISE, _BACKGROUND_NOISE,
-                                    size=(image_h, image_w, 3))
+    img = rng.uniform(-_BACKGROUND_NOISE, _BACKGROUND_NOISE, size=(image_h, image_w, 3))
+    img += _BACKGROUND
     area_scale = (image_w * image_h) / _REFERENCE_AREA
     n_blobs = int(rng.poisson(params.density * area_scale))
     sq = math.sqrt(params.elongation)
@@ -363,8 +363,8 @@ def synth_image(class_idx: int, image_w: int, image_h: int,
         region = img[y0:y1, x0:x1]
         region[mask] = (1.0 - _BLOB_ALPHA) * region[mask] + _BLOB_ALPHA * color
 
-    u8 = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    return u8, n_blobs
+    img *= 255.0
+    return np.clip(np.rint(img, out=img), 0, 255, out=img).astype(np.uint8), n_blobs
 
 
 def synth_dataset(n_per_class: int, image_w: int, image_h: int,
@@ -378,8 +378,7 @@ def synth_dataset(n_per_class: int, image_w: int, image_h: int,
         for i in range(n_per_class):
             rng = derive(seed, f"synth.c{c}", i)
             u8, _ = synth_image(c, image_w, image_h, rng)
-            chw = np.ascontiguousarray(u8.transpose(2, 0, 1)).astype(np.float32) / 255.0
-            images.append(LabeledImage(pixels=Tensor(chw), label=c,
+            images.append(LabeledImage(pixels=_network_input(u8), label=c,
                                        source_id=f"c{c}_{i:03d}"))
     return images
 

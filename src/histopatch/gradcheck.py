@@ -31,35 +31,34 @@ __all__ = ["grad_check"]
 # Op under test: callable(*tensors, tape=tape) -> Tensor.
 CheckedOp = Callable[..., Tensor]
 
+H, KINK_MARGIN, N_DIRS = 1e-2, 0.05, 4  # see grad_check's docstring
 
-def _draw_inputs(shapes: Sequence[tuple[int, ...]], rng: np.random.Generator,
-                 kink_margin: float) -> list[Tensor]:
+
+def _draw_inputs(shapes: Sequence[tuple[int, ...]], rng: np.random.Generator) -> list[Tensor]:
     tensors = []
     for shape in shapes:
         v = rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
         # keep values away from piecewise-linear kinks (relu at 0) so the
         # central difference stays on one linear piece
-        small = np.abs(v) < kink_margin
-        v[small] = np.where(v[small] >= 0.0, kink_margin, -kink_margin)
+        small = np.abs(v) < KINK_MARGIN
+        v[small] = np.where(v[small] >= 0.0, KINK_MARGIN, -KINK_MARGIN)
         tensors.append(Tensor(v, requires_grad=True))
     return tensors
 
 
-def grad_check(op: CheckedOp, shapes: Sequence[tuple[int, ...]], seed: int,
-               h: float = 1e-2, kink_margin: float = 0.05,
-               n_dirs: int = 4) -> float:
+def grad_check(op: CheckedOp, shapes: Sequence[tuple[int, ...]], seed: int) -> float:
     """Max relative error between analytic and numeric directional derivatives.
 
     Inputs are drawn uniformly in [-1, 1] (nudged away from 0 by
-    ``kink_margin``, which also keeps every +-h step on one linear piece).
-    For each input tensor and each of ``n_dirs`` random sign directions d,
-    the numeric side is (L(x + h d) - L(x - h d)) / 2h of the weighted scalar
+    ``KINK_MARGIN``, which also keeps every +-H step on one linear piece).
+    For each input tensor and each of ``N_DIRS`` random sign directions d,
+    the numeric side is (L(x + H d) - L(x - H d)) / 2H of the weighted scalar
     loss, accumulated in float64, and the analytic side is the backward-pass
     gradient projected onto the realized float32 perturbation.  The relative
     error is |a - n| / max(|a|, |n|, 1e-6).
     """
     rng = derive(seed, "gradcheck")
-    tensors = _draw_inputs(shapes, rng, kink_margin)
+    tensors = _draw_inputs(shapes, rng)
 
     # analytic pass
     tape = Tape()
@@ -95,14 +94,14 @@ def grad_check(op: CheckedOp, shapes: Sequence[tuple[int, ...]], seed: int,
         base = t.data.copy()
         g64 = grad.astype(np.float64)
         pairs = []
-        for _ in range(n_dirs):
+        for _ in range(N_DIRS):
             direction = rng.choice(np.asarray([-1.0, 1.0], dtype=np.float32),
                                    size=base.shape)
-            # Richardson pair: (4 D(h/2) - D(h)) / 3 cancels the h^2
+            # Richardson pair: (4 D(H/2) - D(H)) / 3 cancels the H^2
             # truncation term, which otherwise dominates for ops that are
             # curved in the whole-tensor direction (batch statistics)
-            d_full, r_full = central(t, base, direction, h)
-            d_half, r_half = central(t, base, direction, h / 2.0)
+            d_full, r_full = central(t, base, direction, H)
+            d_half, r_half = central(t, base, direction, H / 2.0)
             numeric = (4.0 * d_half - d_full) / 3.0
             effective = (4.0 * r_half - r_full) / 3.0
             pairs.append((float(np.sum(g64 * effective)), numeric))

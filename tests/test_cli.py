@@ -18,6 +18,26 @@ def out_json(proc):
     return json.loads(proc.stdout)
 
 
+@pytest.fixture(scope="module")
+def retiled_artifacts(tmp_path_factory, run_cli):
+    """Both stages at B=C=2 on 80x80 images: the patch network trained on
+    40x40 windows, the image network on 32x32 tiles.  Either window cuts an
+    image into 2x2 tiles, so only the window says which one a run used."""
+    root = tmp_path_factory.mktemp("retiled")
+    data, run = root / "data", root / "run"
+    run_cli("synth", "--out", data, "--n-per-class", "2", "--image-w", "80",
+            "--image-h", "80", "--seed", "3")
+    run_cli("stats", "--manifest", data / "manifest.json")
+    common = ["--manifest", data / "manifest.json", "--out", run, "--epochs", "1",
+              "--batch-size", "8", "--seed", "3"]
+    run_cli("train-patch", *common, "--window", "40", "--stride", "40",
+            "--base-width", "2", "--feature-depth", "2")
+    run_cli("train-image", *common, "--patch-checkpoint", run / "patchwise.ckpt",
+            "--window", "32")
+    return {"data": data, "manifest": data / "manifest.json",
+            "patch_ckpt": run / "patchwise.ckpt", "image_ckpt": run / "imagewise.ckpt"}
+
+
 class TestGeometryCommand:
     def test_full_scale_overlap(self, run_cli):
         proc = run_cli("geometry", "--image-w", "2048", "--image-h", "1536",
@@ -196,8 +216,9 @@ class TestTrainCommands:
         assert 0.0 <= doc["accuracy"] <= 1.0
 
     def test_stage_two_commands_echo_the_tiling_used(self, run_cli, tiny_cli_artifacts):
-        # without --window, train-image, infer and eval tile at the patch
-        # checkpoint's window 64 without overlap, and their config says so
+        # without --window, train-image tiles at the patch checkpoint's
+        # window 64 without overlap, infer and eval at the image
+        # checkpoint's (64 too), and their config says so
         a = tiny_cli_artifacts
         ckpts = ["--patch-checkpoint", a["patch_ckpt"], "--image-checkpoint", a["image_ckpt"]]
         docs = {
@@ -497,15 +518,56 @@ class TestInferCommand:
     @pytest.mark.parametrize("window", ["32x", 40.5, True])
     def test_malformed_meta_window_exits_4(self, run_cli, tiny_cli_artifacts, tmp_path,
                                            window):
-        spec, params, meta = load_checkpoint(tiny_cli_artifacts["patch_ckpt"])
-        bad = tmp_path / "bad.ckpt"
-        save_checkpoint(bad, spec, params, {**meta, "window": window})
-        proc = run_cli("infer", "--patch-checkpoint", bad,
-                       "--image-checkpoint", tiny_cli_artifacts["image_ckpt"],
-                       "--image", tiny_cli_artifacts["data"] / "c0_000.ppm", expect=4)
+        # each command reads the window of the checkpoint it tiles for:
+        # train-image the patch one, infer the image one
+        for command, stage, kind in (("train-image", "patch", "patch-wise"),
+                                     ("infer", "image", "image-wise")):
+            a = dict(tiny_cli_artifacts)
+            spec, params, meta = load_checkpoint(a[f"{stage}_ckpt"])
+            a[f"{stage}_ckpt"] = bad = tmp_path / f"bad_{stage}.ckpt"
+            save_checkpoint(bad, spec, params, {**meta, "window": window})
+            more = {"train-image": ["--manifest", a["manifest"], "--out", tmp_path / "run"],
+                    "infer": ["--image-checkpoint", a["image_ckpt"],
+                              "--image", a["data"] / "c0_000.ppm"]}[command]
+            proc = run_cli(command, "--patch-checkpoint", a["patch_ckpt"], *more, expect=4)
+            assert proc.stdout == ""
+            assert proc.stderr.splitlines() == [
+                f"error: {kind} checkpoint {bad} holds window {window!r}, not an integer"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_runs_at_the_image_checkpoints_window(self, run_cli, retiled_artifacts, command):
+        a = retiled_artifacts
+        more = {"infer": ["--image", a["data"] / "c0_000.ppm"],
+                "eval": ["--manifest", a["manifest"]]}[command]
+        doc = out_json(run_cli(command, "--patch-checkpoint", a["patch_ckpt"],
+                               "--image-checkpoint", a["image_ckpt"], *more))
+        assert (doc["config"]["window"], doc["config"]["stride"]) == (32, 32)
+
+    def test_window_other_than_the_image_checkpoints_exits_2(self, run_cli,
+                                                              retiled_artifacts):
+        # 40 is the patch checkpoint's window and a valid one
+        a = retiled_artifacts
+        proc = run_cli("infer", "--patch-checkpoint", a["patch_ckpt"],
+                       "--image-checkpoint", a["image_ckpt"],
+                       "--image", a["data"] / "c0_000.ppm", "--window", "40", expect=2)
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
-            f"error: patch-wise checkpoint {bad} holds window {window!r}, not an integer"]
+            f"error: window 40 contradicts checkpoint {a['image_ckpt']}, which holds 32"]
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_feature_depths_that_differ_exit_2_before_any_image_is_read(
+            self, run_cli, tiny_cli_artifacts, retiled_artifacts, tmp_path, command):
+        # a C=4 patch network beside an image network built for C=2 features
+        patch, image = tiny_cli_artifacts["patch_ckpt"], retiled_artifacts["image_ckpt"]
+        more = {"infer": ["--image", tmp_path / "missing.ppm"],
+                "eval": ["--manifest", tiny_cli_artifacts["manifest"]]}[command]
+        proc = run_cli(command, "--patch-checkpoint", patch, "--image-checkpoint", image,
+                       *more, expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: image-wise checkpoint {image} was built for feature_depth 2, "
+            f"but patch-wise checkpoint {patch} holds 4"]
 
     def test_version_1_checkpoint_exits_4(self, run_cli, tiny_cli_artifacts, tmp_path):
         spec, params, meta = load_checkpoint(tiny_cli_artifacts["image_ckpt"])

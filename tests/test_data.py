@@ -1,7 +1,10 @@
 """PPM codec, manifests, normalization statistics, synthetic textures,
 stratified splitting, and the labeled patch stream."""
 
+import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -21,7 +24,6 @@ from histopatch.data import (
     load_images,
     load_manifest,
     max_blob_radius,
-    normalize_pixels,
     read_ppm,
     save_manifest,
     split_manifest,
@@ -37,6 +39,24 @@ def solid_image(r, g, b, w=4, h=3):
     data = np.empty((3, h, w), dtype=np.float32)
     data[0], data[1], data[2] = r, g, b
     return Tensor(data)
+
+
+def random_ppm(path, h, w, seed):
+    """Write uniform random 8-bit pixels as a PPM; return them as (H, W, 3)."""
+    u8 = np.random.default_rng(seed).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    path.write_bytes(f"P6\n{w} {h}\n255\n".encode("ascii") + u8.tobytes())
+    return u8
+
+
+def traced_peak(fn):
+    """Bytes ``fn()`` allocated at its peak, above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestPpmCodec:
@@ -110,6 +130,18 @@ class TestPpmCodec:
         write_ppm(path, img)
         again = read_ppm(path)
         assert again.shape == img.shape
+
+    @pytest.mark.parametrize("h, w", [(5, 7), (96, 128), (200, 264)])
+    def test_read_with_stats_is_the_float32_reference_bit_for_bit(self, tmp_path, h, w):
+        u8 = random_ppm(tmp_path / "x.ppm", h, w, seed=h)
+        stats = NormStats(mean=(0.61, 0.47, 0.7), std=(0.13, 0.21, 0.09))
+        scaled = u8.transpose(2, 0, 1).astype(np.float32) / 255.0
+        expect = ((scaled - np.asarray(stats.mean, np.float32).reshape(3, 1, 1))
+                  / np.asarray(stats.std, np.float32).reshape(3, 1, 1))
+        out = read_ppm(tmp_path / "x.ppm", stats).data
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert out.tobytes() == expect.tobytes()
+        assert read_ppm(tmp_path / "x.ppm").data.tobytes() == scaled.tobytes()
 
 
 class TestManifest:
@@ -249,6 +281,23 @@ class TestNormStats:
         with pytest.raises(ManifestError, match="train"):
             compute_norm_stats(manifest)
 
+    def test_bit_equal_to_whole_image_float64_sums(self, tmp_path):
+        # the per-channel sums keep the order of a float64 sum over (H, W)
+        records = []
+        total, total_sq, count = np.zeros(3), np.zeros(3), 0
+        for i, (h, w) in enumerate([(96, 128), (200, 264)]):
+            u8 = random_ppm(tmp_path / f"{i}.ppm", h, w, seed=i)
+            pixels = np.ascontiguousarray(u8.transpose(2, 0, 1)).astype(np.float32) / 255.0
+            pixels = pixels.astype(np.float64)
+            total += pixels.sum(axis=(1, 2))
+            total_sq += (pixels * pixels).sum(axis=(1, 2))
+            count += h * w
+            records.append(ManifestRecord(f"{i}.ppm", 0, "train"))
+        mean = total / count
+        std = np.maximum(np.sqrt(np.maximum(total_sq / count - mean * mean, 0.0)), 1e-6)
+        stats = compute_norm_stats(Manifest(records=records, root=tmp_path))
+        assert stats == NormStats(tuple(mean.tolist()), tuple(std.tolist()))
+
     def test_oracle_against_flat_recompute(self, tiny_manifest):
         stats = compute_norm_stats(tiny_manifest)
         pixels = [img.pixels.data.astype(np.float64)
@@ -257,16 +306,24 @@ class TestNormStats:
         npt.assert_allclose(stats.mean, flat.mean(axis=1), rtol=1e-9)
         npt.assert_allclose(stats.std, flat.std(axis=1), rtol=1e-7)
 
-    def test_normalize_pixels(self):
-        stats = NormStats(mean=(0.5, 0.0, 0.25), std=(0.5, 1.0, 0.25))
-        img = solid_image(1.0, 0.5, 0.5)
-        out = normalize_pixels(img, stats)
+    def test_normalize_pixels(self, tmp_path):
+        # the reader takes 8-bit values, so the image and stats are ones a
+        # file can hold that give the same normalized values
+        stats = NormStats(mean=(0.5, 0.0, -0.25), std=(0.5, 2.0, 0.25))
+        self._write(tmp_path, "img.ppm", solid_image(1.0, 1.0, 0.0))
+        out = read_ppm(tmp_path / "img.ppm", stats)
         npt.assert_allclose(out.data[0], 1.0, atol=1e-6)
         npt.assert_allclose(out.data[1], 0.5, atol=1e-6)
         npt.assert_allclose(out.data[2], 1.0, atol=1e-6)
 
 
 class TestSynth:
+    def test_pinned_image_bytes(self):
+        u8, n = synth_image(3, 128, 96, derive(7, "synth.c3", 0))
+        assert n == 43 and u8.shape == (96, 128, 3)
+        assert hashlib.sha256(u8.tobytes()).hexdigest() == (
+            "c65aa9fd9e2719964ad79ca8bc1943a88d380b07e57102ade45a00cc4b338425")
+
     def test_bitwise_deterministic(self):
         a = synth_dataset(2, 96, 64, seed=7)
         b = synth_dataset(2, 96, 64, seed=7)
@@ -410,5 +467,35 @@ class TestGenerateDatasetDir:
         assert images
         stats = tiny_manifest.stats
         raw = load_images(tiny_manifest, split="val")
-        expect = normalize_pixels(raw[0].pixels, stats)
-        npt.assert_array_equal(images[0].pixels.data, expect.data)
+        expect = ((raw[0].pixels.data - np.float32(stats.mean).reshape(3, 1, 1))
+                  / np.float32(stats.std).reshape(3, 1, 1))
+        npt.assert_array_equal(images[0].pixels.data, expect)
+
+
+class TestMemory:
+    """Traced peaks in units of F, one image's float32 (3, H, W) size."""
+
+    W, H = 1024, 768
+    F = 3 * W * H * 4
+
+    def _manifest(self, tmp_path, n):
+        for i in range(n):
+            random_ppm(tmp_path / f"{i}.ppm", self.H, self.W, seed=i)
+        return Manifest([ManifestRecord(f"{i}.ppm", 0, "train") for i in range(n)],
+                        root=tmp_path)
+
+    def test_load_normalized_decodes_into_the_buffer_it_keeps(self, tmp_path):
+        # the file's bytes (F/4) beside the one float32 buffer it returns
+        manifest = replace(self._manifest(tmp_path, 1),
+                           stats=NormStats((0.5, 0.5, 0.5), (0.25, 0.25, 0.25)))
+        assert traced_peak(lambda: load_images(manifest, normalized=True)) <= 1.5 * self.F
+
+    def test_norm_stats_hold_one_image_and_one_float64_channel(self, tmp_path):
+        # two images: the first is gone before the second is read
+        manifest = self._manifest(tmp_path, 2)
+        assert traced_peak(lambda: compute_norm_stats(manifest)) <= 2.5 * self.F
+
+    def test_synth_image_builds_its_float64_image_in_place(self):
+        # one float64 (H, W, 3) image is 2 F
+        peak = traced_peak(lambda: synth_image(0, self.W, self.H, derive(0, "synth.c0", 0)))
+        assert peak <= 2.5 * self.F
